@@ -1,0 +1,281 @@
+/**
+ * @file
+ * Golden characterisation of the five simulator entry points.
+ *
+ * Every case pins its RunStats bit-exactly (hex floats) and the
+ * stats-tree JSON of a rerun with every telemetry channel on, which
+ * must also reproduce the plain run's RunStats.  The expected values
+ * live in tests/golden/sim_golden.txt, one "<case> <kind> <value>"
+ * line each.  To re-pin an intended change, run the binary directly
+ * (one process) with MOUSE_GOLDEN_OUT=<file> set; it appends every
+ * computed line there, ready to replace the golden file.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <string>
+
+#include "compile/builder.hh"
+#include "sim/simulator.hh"
+
+namespace mouse
+{
+namespace
+{
+
+std::string
+hexStats(const RunStats &s)
+{
+    char buf[640];
+    std::snprintf(
+        buf, sizeof(buf),
+        "committed=%llu dead=%llu outages=%llu active=%a deadT=%a "
+        "restoreT=%a charging=%a compute=%a backup=%a deadE=%a "
+        "restoreE=%a idle=%a",
+        static_cast<unsigned long long>(s.instructionsCommitted),
+        static_cast<unsigned long long>(s.instructionsDead),
+        static_cast<unsigned long long>(s.outages), s.activeTime,
+        s.deadTime, s.restoreTime, s.chargingTime, s.computeEnergy,
+        s.backupEnergy, s.deadEnergy, s.restoreEnergy, s.idleEnergy);
+    return buf;
+}
+
+/** The pinned lines, keyed by "<case> <kind>". */
+const std::map<std::string, std::string> &
+golden()
+{
+    static const std::map<std::string, std::string> lines = [] {
+        std::map<std::string, std::string> m;
+        std::ifstream in(MOUSE_GOLDEN_DIR "/sim_golden.txt");
+        std::string line;
+        while (std::getline(in, line)) {
+            const std::size_t kind = line.find(' ');
+            const std::size_t value = line.find(' ', kind + 1);
+            if (kind != std::string::npos &&
+                value != std::string::npos) {
+                m[line.substr(0, value)] = line.substr(value + 1);
+            }
+        }
+        return m;
+    }();
+    return lines;
+}
+
+void
+expectGolden(const std::string &key, const std::string &actual)
+{
+    const auto it = golden().find(key);
+    EXPECT_TRUE(it != golden().end()) << "no golden line for " << key;
+    if (it != golden().end()) {
+        EXPECT_EQ(actual, it->second) << key;
+    }
+    if (const char *out = std::getenv("MOUSE_GOLDEN_OUT")) {
+        std::ofstream(out, std::ios::app) << key << ' ' << actual
+                                          << '\n';
+    }
+}
+
+/** Shared workload: the 8-bit multiply in 4 SIMD columns. */
+class SimGolden : public ::testing::Test
+{
+  protected:
+    SimGolden()
+        : lib_(makeDeviceConfig(TechConfig::ProjectedStt)),
+          energy_(lib_)
+    {
+        cfg_.tileRows = 128;
+        cfg_.tileCols = 8;
+        cfg_.numDataTiles = 1;
+        cfg_.numInstructionTiles = 512;
+        KernelBuilder kb(lib_, cfg_, 0, 24);
+        kb.activate(0, 3);
+        const Word a = kb.pinnedWord(0, 6);
+        const Word b = kb.pinnedWord(12, 6);
+        kb.mulUnsigned(a, b);
+        prog_ = kb.finish();
+        trace_ = Trace::fromProgram(prog_, cfg_);
+        // A long run-length block so harvested bursts span many
+        // identical instructions.
+        trace_.append(Opcode::kGateNand2, 4, 4, 2000);
+        // Wide gates for tens of milliseconds, long enough to reach
+        // the weak phases of the time-varying sources, in blocks short
+        // enough that each burst re-samples the source.
+        Trace wide;
+        wide.append(Opcode::kGateNand2, 128, 128, 1000);
+        wide.append(Opcode::kGateNor2, 1024, 128, 1000);
+        long_ = trace_;
+        long_.appendTrace(wide, 915);
+    }
+
+    /** Run @p fn on a freshly loaded and seeded machine. */
+    RunStats
+    onMachine(const std::function<RunStats(Controller &)> &fn,
+              bool *halted = nullptr)
+    {
+        TileGrid grid(cfg_, lib_);
+        const std::uint64_t avals[4] = {11, 63, 0, 37};
+        const std::uint64_t bvals[4] = {52, 63, 9, 1};
+        for (ColAddr c = 0; c < 4; ++c) {
+            for (unsigned i = 0; i < 6; ++i) {
+                grid.tile(0).setBit(static_cast<RowAddr>(2 * i), c,
+                                    (avals[c] >> i) & 1);
+                grid.tile(0).setBit(static_cast<RowAddr>(12 + 2 * i),
+                                    c, (bvals[c] >> i) & 1);
+            }
+        }
+        InstructionMemory imem(cfg_);
+        imem.load(prog_.encode());
+        Controller ctrl(grid, imem, energy_);
+        const RunStats stats = fn(ctrl);
+        if (halted != nullptr) {
+            *halted = ctrl.halted();
+        }
+        return stats;
+    }
+
+    /**
+     * Pin @p run's RunStats, and the stats tree of a rerun with all
+     * telemetry on (which must not move the RunStats).
+     */
+    void
+    check(const std::string &name,
+          const std::function<RunStats(obs::Telemetry *)> &run)
+    {
+        const std::string plain = hexStats(run(nullptr));
+        obs::Telemetry telem = obs::Telemetry::make(
+            {.stats = true, .events = true, .waveform = true});
+        const std::string traced = hexStats(run(&telem));
+        EXPECT_EQ(traced, plain)
+            << name << ": telemetry changed the RunStats";
+        expectGolden(name + " stats", plain);
+        expectGolden(name + " tree", telem.stats->toJson());
+    }
+
+    static OutageSchedule
+    schedule()
+    {
+        OutageSchedule s;
+        s.points = {{3, MicroStep::kExecute, 0.5},
+                    {10, MicroStep::kFetch, 0.2},
+                    {11, MicroStep::kCommit, 0.9},
+                    {40, MicroStep::kWritePc, 0.5},
+                    {41, MicroStep::kExecute, 0.25}};
+        return s;
+    }
+
+    GateLibrary lib_;
+    ArrayConfig cfg_;
+    EnergyModel energy_;
+    Program prog_;
+    Trace trace_;
+    Trace long_;
+};
+
+TEST_F(SimGolden, Continuous)
+{
+    check("continuous_trace", [&](obs::Telemetry *t) {
+        return runContinuousTrace(trace_, energy_, t);
+    });
+    check("continuous_functional", [&](obs::Telemetry *t) {
+        return onMachine([&](Controller &ctrl) {
+            return runContinuousFunctional(ctrl, t);
+        });
+    });
+}
+
+TEST_F(SimGolden, HarvestedTrace)
+{
+    const struct
+    {
+        const char *label;
+        SourceSpec source;
+        const Trace &trace;
+    } sources[] = {
+        {"constant", SourceSpec::constant(1e-6), trace_},
+        {"square", SourceSpec::square(0.01, 0.3, 200e-6), long_},
+        {"rf-bursty", SourceSpec::corpusTrace("rf-bursty"), long_},
+    };
+    for (const auto &[label, source, trace] : sources) {
+        for (unsigned period : {1u, 8u}) {
+            for (bool empty : {true, false}) {
+                HarvestConfig h;
+                h.source = source;
+                h.capacitanceOverride = 2e-9;  // force outages
+                h.checkpointPeriod = period;
+                h.startEmpty = empty;
+                const std::string name =
+                    std::string("harvested_trace/") + label + "/p" +
+                    std::to_string(period) +
+                    (empty ? "/empty" : "/low");
+                check(name, [&](obs::Telemetry *t) {
+                    return runHarvestedTrace(trace, energy_, h, t);
+                });
+            }
+        }
+    }
+}
+
+TEST_F(SimGolden, HarvestedFunctional)
+{
+    const std::pair<const char *, SourceSpec> sources[] = {
+        {"constant", SourceSpec::constant(0.1e-6)},
+        {"square", SourceSpec::square(4e-6, 0.25, 1e-6)},
+    };
+    for (const auto &[label, source] : sources) {
+        HarvestConfig h;
+        h.source = source;
+        h.capacitanceOverride = 1e-9;  // real outages
+        h.seed = 7;
+        check(std::string("harvested_functional/") + label,
+              [&](obs::Telemetry *t) {
+                  return onMachine([&](Controller &ctrl) {
+                      return runHarvestedFunctional(ctrl, h, t);
+                  });
+              });
+    }
+}
+
+TEST_F(SimGolden, ScheduledFunctional)
+{
+    const auto scheduled = [&](const std::string &name,
+                               const OutageSchedule &s,
+                               std::uint64_t maxAttempts,
+                               bool wantHalted) {
+        check("scheduled/" + name, [&](obs::Telemetry *t) {
+            bool halted = false;
+            const RunStats stats = onMachine(
+                [&](Controller &ctrl) {
+                    return runScheduledFunctional(ctrl, s, maxAttempts,
+                                                  t);
+                },
+                &halted);
+            EXPECT_EQ(halted, wantHalted) << name;
+            return stats;
+        });
+    };
+
+    scheduled("journal", schedule(), 0, true);
+
+    OutageSchedule broken = schedule();
+    broken.restoreJournal = false;
+    scheduled("no_journal", broken, 0, true);
+
+    OutageSchedule window = schedule();
+    window.checkpointPeriod = 4;
+    scheduled("window4", window, 0, true);
+
+    OutageSchedule explicitCps = schedule();
+    explicitCps.checkpointPeriod = 4;
+    explicitCps.checkpoints = {0, 8, 30};
+    scheduled("checkpoints", explicitCps, 0, true);
+
+    scheduled("max_attempts", schedule(), 25, false);
+}
+
+} // namespace
+} // namespace mouse
