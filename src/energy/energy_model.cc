@@ -90,6 +90,22 @@ EnergyModel::estimateInstructionEnergy(Opcode op,
     return device + peripheralEnergy(touched_cols);
 }
 
+InstrCost
+EnergyModel::instructionCost(Opcode op, unsigned touched_cols) const
+{
+    InstrCost cost;
+    cost.exec = fetchEnergy() +
+                estimateInstructionEnergy(op, touched_cols);
+    if (op != Opcode::kHalt) {
+        cost.backup = backupEnergyPerCycle();
+        if (op == Opcode::kActivateList ||
+            op == Opcode::kActivateRange) {
+            cost.backup += actRegisterBackupEnergy();
+        }
+    }
+    return cost;
+}
+
 Joules
 EnergyModel::fetchEnergy() const
 {

@@ -2,22 +2,30 @@
  * @file
  * The MOUSE execution simulators (paper Section VIII).
  *
- * Two fidelity levels share one energy model:
+ * Every runner is one burst loop over a machine and a power source.
+ * The machine says what the next chunk of work costs, commits it,
+ * dies partway through an attempt, restarts, and replays or rolls
+ * back; the power says how much fits before an outage and where the
+ * cut lands, then recharges.  The loop owns the RunStats accounting,
+ * idle energy, non-termination detection and telemetry.
  *
- *  - Functional: drives the Controller/TileGrid bit-exact machine,
- *    including real micro-step power cuts and the full restart
- *    protocol.  Used to *prove* intermittent correctness and to run
- *    the small end-to-end examples.
+ * Two machines share one energy model:
+ *
+ *  - Functional (controller): drives the Controller/TileGrid
+ *    bit-exact machine, including real micro-step power cuts and the
+ *    full restart protocol.  Used to *prove* intermittent correctness
+ *    and to run the small end-to-end examples.
  *
  *  - Trace: consumes a compressed instruction trace; each
- *    instruction's cost comes from EnergyModel::estimate*.  Used for
- *    the paper's large benchmarks where simulating 10^10 MTJ bit
- *    updates would be pointless — the instruction stream is data-
+ *    instruction's cost comes from EnergyModel::instructionCost.
+ *    Used for the paper's large benchmarks where simulating 10^10 MTJ
+ *    bit updates would be pointless — the instruction stream is data-
  *    independent, so cycle counts are exact and energy differs only
  *    by the data-dependence of gate pulse currents.
  *
- * Both can run under continuous power or against a harvesting
- * environment (capacitor + power source + voltage window).
+ * Three powers: continuous (never cuts), a harvesting environment
+ * (capacitor + power source + voltage window), and a scripted
+ * OutageSchedule (cuts at named attempts, no charging time).
  */
 
 #ifndef MOUSE_SIM_SIMULATOR_HH
@@ -145,7 +153,7 @@ RunStats runHarvestedTrace(const Trace &trace,
  * attempt index, micro-step, intra-phase fraction — instead of where
  * a capacitor model happens to run dry.  Charging time is not
  * modelled (the schedule abstracts the environment away); energy and
- * work accounting follow the harvested runner's taxonomy.
+ * work accounting are the burst loop's, as in every runner.
  *
  * With schedule.checkpointPeriod > 1 the restart path additionally
  * rolls the PC back to the last window boundary (SONIC-style

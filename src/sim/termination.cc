@@ -8,22 +8,6 @@ namespace mouse
 namespace
 {
 
-/** Load-side cost of one instruction of a block. */
-Joules
-blockInstructionEnergy(const EnergyModel &energy,
-                       const TraceBlock &blk)
-{
-    Joules e = energy.fetchEnergy() +
-               energy.estimateInstructionEnergy(blk.op,
-                                                blk.touchedCols);
-    e += energy.backupEnergyPerCycle();
-    if (blk.op == Opcode::kActivateList ||
-        blk.op == Opcode::kActivateRange) {
-        e += energy.actRegisterBackupEnergy();
-    }
-    return e;
-}
-
 Joules
 burstEnergyFor(const DeviceConfig &cfg, Farads capacitance)
 {
@@ -52,7 +36,8 @@ analyzeTermination(const Trace &trace, const EnergyModel &energy,
     Joules worst_total = 0.0;
     for (std::size_t i = 0; i < trace.blocks.size(); ++i) {
         const TraceBlock &blk = trace.blocks[i];
-        const Joules instr = blockInstructionEnergy(energy, blk);
+        const Joules instr =
+            energy.instructionCost(blk.op, blk.touchedCols).total();
         const Joules restore =
             energy.restoreEnergy(1, blk.activeColsAfter);
         if (instr + restore > worst_total) {
@@ -89,10 +74,7 @@ maxSafeParallelism(const EnergyModel &energy,
     while (lo < hi) {
         const unsigned mid = lo + (hi - lo + 1) / 2;
         const Joules instr =
-            energy.fetchEnergy() +
-            energy.estimateInstructionEnergy(Opcode::kGateNand2,
-                                             mid) +
-            energy.backupEnergyPerCycle();
+            energy.instructionCost(Opcode::kGateNand2, mid).total();
         const Joules restore = energy.restoreEnergy(1, mid);
         if (instr + restore < burst) {
             lo = mid;

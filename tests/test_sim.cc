@@ -385,5 +385,27 @@ TEST(SimNonTermination, DetectedAndFatal)
         ::testing::ExitedWithCode(1), "non-termination");
 }
 
+TEST_F(SimTest, HarvestedFunctionalNonTerminationIsFatal)
+{
+    // Same verdict through the controller machine: a 0.1 pF buffer
+    // holds far less than one instruction plus its restore.
+    Word product;
+    const Program prog = buildWorkload(product);
+    EnergyModel energy(lib_);
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(60e-6);
+    harvest.capacitanceOverride = 1e-13;
+    EXPECT_EXIT(
+        {
+            TileGrid grid(cfg_, lib_);
+            seed(grid);
+            InstructionMemory imem(cfg_);
+            imem.load(prog.encode());
+            Controller ctrl(grid, imem, energy);
+            runHarvestedFunctional(ctrl, harvest);
+        },
+        ::testing::ExitedWithCode(1), "non-termination");
+}
+
 } // namespace
 } // namespace mouse
