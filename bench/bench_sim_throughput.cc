@@ -108,9 +108,8 @@ BENCHMARK(BM_FunctionalAdder);
 
 /**
  * TracePowerSource::power() lookup cost as the segment count grows.
- * The lookup is O(log n) via precomputed thresholds (bit-identical
- * to the historical linear scan); this point keeps the query on the
- * numeric integrator's hot path from regressing back to O(n).
+ * The lookup is an O(log n) upper_bound over precomputed segment
+ * start times; this point keeps it from regressing back to O(n).
  */
 void
 BM_TracePowerSourceQuery(benchmark::State &state)

@@ -34,48 +34,21 @@ checkpointPerOp(const McuProgram &prog, const EhScheme &scheme)
 /** Guard against sources that never deliver the requested energy. */
 constexpr double kChargeTimeLimit = 1.0e7;
 
-/**
- * Seconds to harvest @p energy starting at absolute time @p t0.
- * Constant sources are closed-form; everything else integrates the
- * source numerically over absolute time, like the MOUSE harvested
- * runners.
- */
+/** Seconds to harvest @p energy starting at absolute time @p t0,
+ *  through a converter of efficiency @p eff. */
 double
-chargeSeconds(const SourceSpec &spec, PowerSource &src, double eff,
-              double energy, double t0)
+chargeSeconds(const PowerSource &src, double eff, double energy,
+              double t0)
 {
-    if (energy <= 0.0) {
-        return 0.0;
+    const double dt = src.timeToHarvest(energy, t0, eff);
+    // Negated so a NaN (zero converter efficiency) is fatal too.
+    if (!(dt <= kChargeTimeLimit)) {
+        mouse_fatal("MCU baseline: source cannot deliver %.3g J "
+                    "within the charge-time limit; declaring "
+                    "non-termination",
+                    energy);
     }
-    if (spec.isConstant()) {
-        const double p = src.power(0.0) * eff;
-        if (p <= 0.0) {
-            mouse_fatal("MCU baseline: constant source delivers no "
-                        "power; the buffer can never charge");
-        }
-        return energy / p;
-    }
-    const double period = src.period();
-    const double maxStep =
-        std::clamp(period > 0.0 ? period / 16.0 : 0.25, 1e-5, 0.25);
-    double t = t0;
-    double gathered = 0.0;
-    while (gathered < energy) {
-        const double p = std::max(src.power(t), 0.0) * eff;
-        double dt = maxStep;
-        if (p > 0.0) {
-            dt = std::clamp((energy - gathered) / p, 1e-6, maxStep);
-        }
-        gathered += p * dt;
-        t += dt;
-        if (t - t0 > kChargeTimeLimit) {
-            mouse_fatal("MCU baseline: source delivered %.3g of the "
-                        "%.3g J needed within the charge-time limit; "
-                        "declaring non-termination",
-                        gathered, energy);
-        }
-    }
-    return t - t0;
+    return dt;
 }
 
 } // namespace
@@ -140,7 +113,7 @@ mcuRunHarvested(const McuProgram &prog, const EhScheme &scheme,
             target += 0.5 * cap * kVLow * kVLow;
         }
         const double charge =
-            chargeSeconds(harvest.source, *src, eff, target, now);
+            chargeSeconds(*src, eff, target, now);
         stats.chargingTime += charge;
         now += charge;
 

@@ -21,10 +21,12 @@ namespace mouse::schema {
  *  reports landed; 3 = "error" field on rejected requests; 4 = the
  *  optional "serve" batch/queue block and the serve_report document;
  *  5 = "source"/"platform" scenario provenance in the point block;
- *  6 = "system"/"scheme" baseline provenance in the point block
- *  (docs/EXPERIMENTS_API.md, docs/FAULT_INJECTION.md,
- *  docs/SERVING.md, docs/HARVESTING.md, docs/BASELINES.md). */
-inline constexpr int kResultSchemaVersion = 6;
+ *  6 = "system"/"scheme" baseline provenance in the point block;
+ *  7 = exact closed-form harvesting, which changes the results of
+ *  every time-varying source (docs/EXPERIMENTS_API.md,
+ *  docs/FAULT_INJECTION.md, docs/SERVING.md, docs/HARVESTING.md,
+ *  docs/BASELINES.md). */
+inline constexpr int kResultSchemaVersion = 7;
 
 /** "metrics_schema" field of MetricsSnapshot documents emitted by
  *  src/obs/metrics_hub (docs/OBSERVABILITY.md "Live metrics

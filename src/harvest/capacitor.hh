@@ -50,16 +50,15 @@ class Capacitor
         return 0.5 * c_ * (v_ * v_ - v_floor * v_floor);
     }
 
-    /** Charging time from the current voltage to @p v_target at
-     *  constant power @p p. */
-    Seconds
-    timeToCharge(Volts v_target, Watts p) const
+    /** Energy that charges the buffer from the current voltage to
+     *  @p v_target. */
+    Joules
+    energyTo(Volts v_target) const
     {
-        mouse_assert(p > 0.0, "charging needs positive power");
         if (v_ >= v_target) {
             return 0.0;
         }
-        return 0.5 * c_ * (v_target * v_target - v_ * v_) / p;
+        return 0.5 * c_ * (v_target * v_target - v_ * v_);
     }
 
     /** Apply constant charging power for @p dt. */

@@ -7,6 +7,12 @@
  * body-heat thermal harvester) to 5 mW (the Powercast RF harvester
  * SONIC uses).  A piecewise trace source is provided for
  * fluctuating-environment experiments beyond the paper.
+ *
+ * Every source is constant or piecewise-constant, so the energy it
+ * delivers over an interval and the time it takes to deliver a given
+ * energy are closed-form: timeToHarvest() and energyOver() are the
+ * one charge-time routine both simulators share (docs/HARVESTING.md,
+ * "Integration accuracy").
  */
 
 #ifndef MOUSE_HARVEST_POWER_SOURCE_HH
@@ -14,8 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -33,11 +38,16 @@ class PowerSource
     /** Instantaneous harvested power at absolute time @p t. */
     virtual Watts power(Seconds t) const = 0;
 
-    /** Repetition period of the output, or 0 when the output never
-     *  varies.  Numeric integrators bound their step to a fraction
-     *  of this so a long drought cannot alias over the charging
-     *  phases of a short-period source. */
-    virtual Seconds period() const { return 0.0; }
+    /**
+     * Seconds from absolute time @p t0 until the source, derated by
+     * @p eff, has delivered @p e joules.  Infinite when it never
+     * does.
+     */
+    virtual Seconds timeToHarvest(Joules e, Seconds t0,
+                                  double eff) const = 0;
+
+    /** Joules the source delivers over [@p t0, @p t0 + @p dt]. */
+    virtual Joules energyOver(Seconds t0, Seconds dt) const = 0;
 };
 
 /** Constant output (the paper's model). */
@@ -51,6 +61,18 @@ class ConstantPowerSource : public PowerSource
 
     Watts power(Seconds) const override { return p_; }
 
+    Seconds
+    timeToHarvest(Joules e, Seconds, double eff) const override
+    {
+        return e / (p_ * eff);
+    }
+
+    Joules
+    energyOver(Seconds, Seconds dt) const override
+    {
+        return p_ * dt;
+    }
+
   private:
     Watts p_;
 };
@@ -58,16 +80,12 @@ class ConstantPowerSource : public PowerSource
 /** Piecewise-constant trace, cycling through (duration, power)
  *  segments; models clouds over a solar cell etc.
  *
- *  Queries are O(log n): construction precomputes, per segment
- *  boundary, the smallest representable phase that lands past the
- *  boundary under the reference subtract-and-compare scan, and
- *  power() binary-searches those thresholds.  Because each threshold
- *  is found by bisecting the scan itself over the ordered bit
- *  patterns of the phase doubles, the selected segment — and thus
- *  the returned power — is bit-identical to the former linear scan
- *  for every input, including phases where accumulated floating-
- *  point subtraction error made the scan disagree with exact
- *  cumulative sums. */
+ *  Construction precomputes prefix sums of the segment start times
+ *  and of the segment energies over one period.  power() finds the
+ *  segment with upper_bound over the start times.  The charge
+ *  queries work in phase space: whole periods go by the per-period
+ *  energy, and the remainder is a binary search over the prefix
+ *  energies, so every query is O(log n) and exact up to rounding. */
 class TracePowerSource : public PowerSource
 {
   public:
@@ -85,23 +103,60 @@ class TracePowerSource : public PowerSource
         mouse_assert(!segments_.empty(), "empty power trace");
         for (const Segment &s : segments_) {
             mouse_assert(s.duration > 0.0, "non-positive segment");
+            start_.push_back(period_);
+            energy_.push_back(periodEnergy_);
             period_ += s.duration;
+            periodEnergy_ += s.duration * s.power;
         }
-        buildThresholds();
     }
 
     Watts
     power(Seconds t) const override
     {
-        const Seconds phase = std::fmod(t, period_);
-        const std::size_t idx = static_cast<std::size_t>(
-            std::upper_bound(thresholds_.begin(), thresholds_.end(),
-                             phase) -
-            thresholds_.begin());
-        return segments_[idx].power;
+        return segments_[segmentAt(std::fmod(t, period_))].power;
     }
 
-    Seconds period() const override { return period_; }
+    Seconds
+    timeToHarvest(Joules e, Seconds t0, double eff) const override
+    {
+        if (e <= 0.0) {
+            return 0.0;
+        }
+        if (!(periodEnergy_ > 0.0)) {
+            return std::numeric_limits<Seconds>::infinity();
+        }
+        // Count energy from the start of t0's period, skip whole
+        // periods, and leave a remainder in (0, periodEnergy_].
+        const Seconds phase = std::fmod(t0, period_);
+        const Joules target = energyAt(phase) + e / eff;
+        double k = std::max(0.0, std::ceil(target / periodEnergy_) - 1.0);
+        Joules rest = target - k * periodEnergy_;
+        if (rest <= 0.0) {
+            k -= 1.0;
+            rest += periodEnergy_;
+        }
+        rest = std::min(rest, periodEnergy_);
+        // The segment the remainder ends in starts below it, so it
+        // delivers power: zero-power segments are stepped over.
+        const std::size_t i = static_cast<std::size_t>(
+            std::lower_bound(energy_.begin() + 1, energy_.end(), rest) -
+            energy_.begin() - 1);
+        return k * period_ + start_[i] +
+               (rest - energy_[i]) / segments_[i].power - phase;
+    }
+
+    Joules
+    energyOver(Seconds t0, Seconds dt) const override
+    {
+        const Seconds phase = std::fmod(t0, period_);
+        const Seconds end = phase + dt;
+        const double k = std::floor(end / period_);
+        return k * periodEnergy_ + energyAt(end - k * period_) -
+               energyAt(phase);
+    }
+
+    /** Repetition period: the sum of the segment durations. */
+    Seconds period() const { return period_; }
 
     const std::vector<Segment> &segments() const { return segments_; }
 
@@ -122,66 +177,30 @@ class TracePowerSource : public PowerSource
     }
 
   private:
-    /** The pre-threshold reference: subtract each duration in turn
-     *  and select the first segment the remaining phase fits in,
-     *  falling through to the last segment. */
+    /** Segment holding @p phase in [0, period). */
     std::size_t
-    scanIndex(Seconds phase) const
+    segmentAt(Seconds phase) const
     {
-        for (std::size_t i = 0; i < segments_.size(); ++i) {
-            if (phase < segments_[i].duration) {
-                return i;
-            }
-            phase -= segments_[i].duration;
-        }
-        return segments_.size() - 1;
+        return static_cast<std::size_t>(
+            std::upper_bound(start_.begin() + 1, start_.end(), phase) -
+            start_.begin() - 1);
     }
 
-    static std::uint64_t
-    phaseBits(Seconds v)
+    /** Energy delivered from phase 0 to @p phase. */
+    Joules
+    energyAt(Seconds phase) const
     {
-        std::uint64_t b = 0;
-        std::memcpy(&b, &v, sizeof(b));
-        return b;
-    }
-
-    static Seconds
-    phaseFromBits(std::uint64_t b)
-    {
-        Seconds v = 0.0;
-        std::memcpy(&v, &b, sizeof(v));
-        return v;
-    }
-
-    /** thresholds_[b-1] = smallest phase the scan maps to segment
-     *  >= b.  scanIndex is monotone in the phase, and non-negative
-     *  doubles order the same as their bit patterns, so each
-     *  boundary is an integer bisection over phase bits with the
-     *  scan as the oracle. */
-    void
-    buildThresholds()
-    {
-        thresholds_.reserve(segments_.size() - 1);
-        for (std::size_t b = 1; b < segments_.size(); ++b) {
-            std::uint64_t lo = phaseBits(0.0);
-            std::uint64_t hi = phaseBits(period_);
-            // scanIndex(0) == 0 < b (durations are positive) and
-            // scanIndex(period_) falls through to the last segment.
-            while (hi - lo > 1) {
-                const std::uint64_t mid = lo + (hi - lo) / 2;
-                if (scanIndex(phaseFromBits(mid)) >= b) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            thresholds_.push_back(phaseFromBits(hi));
-        }
+        const std::size_t i = segmentAt(phase);
+        return energy_[i] + (phase - start_[i]) * segments_[i].power;
     }
 
     std::vector<Segment> segments_;
-    std::vector<Seconds> thresholds_;
+    /** Start phase of each segment. */
+    std::vector<Seconds> start_;
+    /** Energy delivered before each segment starts. */
+    std::vector<Joules> energy_;
     Seconds period_ = 0.0;
+    Joules periodEnergy_ = 0.0;
 };
 
 } // namespace mouse

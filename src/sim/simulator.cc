@@ -163,9 +163,11 @@ class SimProbe
             vMin_->observe(v);
             vMax_->observe(v);
         }
+        // A gap of one period up to rounding counts as a period, so
+        // evenly spaced recharge samples are not dropped.
         if (!wantsWaveform() ||
             (lastSample_ >= 0.0 &&
-             t - lastSample_ < cfg_.waveformPeriod)) {
+             t - lastSample_ < cfg_.waveformPeriod * (1.0 - 1e-9))) {
             return;
         }
         lastSample_ = t;
@@ -173,15 +175,16 @@ class SimProbe
     }
 
     /**
-     * Synthesize waveform samples for an analytic constant-power
-     * recharge from @p v0 to @p v1: v(t) = sqrt(v0^2 + 2 P t / C).
+     * Synthesize waveform samples for a closed-form recharge from
+     * @p v0 to @p v1: v(t) = sqrt(v0^2 + 2 E(t) / C), with E(t) the
+     * energy @p src delivers in the first t seconds.
      */
     void
     sampleRecharge(Seconds t0, Seconds dt, Volts v0, Volts v1,
-                   Farads c, Watts p)
+                   Farads c, const PowerSource &src)
     {
         if (!wantsWaveform() || dt <= 0.0) {
-            maybeSample(t0 + dt, v1, p);
+            maybeSample(t0 + dt, v1, src.power(t0));
             return;
         }
         const double steps = std::clamp(
@@ -189,8 +192,9 @@ class SimProbe
         const Seconds step = dt / steps;
         for (double k = 1.0; k <= steps; k += 1.0) {
             const Seconds at = step * k;
-            const Volts v = std::sqrt(v0 * v0 + 2.0 * p * at / c);
-            maybeSample(t0 + at, std::min(v, v1), p);
+            const Volts v = std::sqrt(
+                v0 * v0 + 2.0 * src.energyOver(t0, at) / c);
+            maybeSample(t0 + at, std::min(v, v1), src.power(t0 + at));
         }
     }
 
@@ -664,11 +668,6 @@ struct HarvestEnv
           converter(effectiveConverterEfficiency(cfg)),
           sourceOwner(cfg.source.make()),
           source(*sourceOwner),
-          varying(!cfg.source.isConstant()),
-          maxStep(source.period() > 0.0
-                      ? std::clamp(source.period() / 16.0, 1e-5,
-                                   0.25)
-                      : 0.25),
           vLow(energy.config().capVoltageLow),
           vHigh(energy.config().capVoltageHigh),
           cycle(energy.cycleTime()), rng(cfg.seed),
@@ -676,49 +675,25 @@ struct HarvestEnv
     {
     }
 
-    /** Charge to the restart voltage, logging the off time. */
+    /** Charge to the restart voltage, logging the off time.  The
+     *  converter derates the load side, so the source fills the
+     *  buffer at full strength. */
     void
     recharge(RunStats &stats, [[maybe_unused]] SimProbe *probe)
     {
-        const Volts v = vHigh;
-        if (!varying) {
-            const Watts p = source.power(now);
-            const Seconds dt = cap.timeToCharge(v, p);
-            MOUSE_OBS_HOOK(probe,
-                           probe->sampleRecharge(now, dt,
-                                                 cap.voltage(), v,
-                                                 cap.capacitance(),
-                                                 p));
-            stats.chargingTime += dt;
-            now += dt;
-            cap.setVoltage(v);
-            MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
-            return;
+        const Seconds dt =
+            source.timeToHarvest(cap.energyTo(vHigh), now, 1.0);
+        if (dt > 1e7) {
+            mouse_fatal("source never refills the buffer "
+                        "(charged for >115 days of sim time)");
         }
-        // Time-varying source: integrate numerically.  Step size is
-        // a fraction of the remaining charge estimate, bounded below
-        // so fast transients are still resolved and above by a
-        // fraction of the source period — a drought-phase estimate
-        // is near-infinite, and an unbounded step would alias right
-        // over the charging phases of a short-period source.
-        Seconds charged = 0.0;
-        while (cap.voltage() < v) {
-            const Watts p = std::max(source.power(now), 1e-12);
-            const Seconds estimate = cap.timeToCharge(v, p);
-            const Seconds dt =
-                std::clamp(estimate / 64.0, 1e-5, maxStep);
-            cap.charge(p, std::min(dt, estimate));
-            now += std::min(dt, estimate);
-            charged += std::min(dt, estimate);
-            MOUSE_OBS_HOOK(probe,
-                           probe->maybeSample(now, cap.voltage(),
-                                              p));
-            if (charged > 1e7) {
-                mouse_fatal("source never refills the buffer "
-                            "(charged for >115 days of sim time)");
-            }
-        }
-        stats.chargingTime += charged;
+        MOUSE_OBS_HOOK(probe, probe->sampleRecharge(now, dt,
+                                                    cap.voltage(), vHigh,
+                                                    cap.capacitance(),
+                                                    source));
+        stats.chargingTime += dt;
+        now += dt;
+        cap.setVoltage(vHigh);
         MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
     }
 
@@ -827,9 +802,6 @@ struct HarvestEnv
     SwitchedCapConverter converter;
     std::unique_ptr<PowerSource> sourceOwner;
     const PowerSource &source;
-    bool varying;
-    /** Integration step cap (period-resolving for trace sources). */
-    Seconds maxStep;
     Volts vLow;
     Volts vHigh;
     Seconds cycle;

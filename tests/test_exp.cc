@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "exp/names.hh"
 #include "exp/runner.hh"
@@ -293,6 +295,47 @@ TEST(Names, BenchmarkKeysAlignWithPaperBenchmarks)
         EXPECT_EQ(*idx, i);
     }
     EXPECT_FALSE(names::benchmarkIndex("nope").has_value());
+}
+
+// -- Harvesting physics ----------------------------------------------
+
+/** Simulated latency of SVM HAR on mementos under @p scheme, one
+ *  point per source. */
+std::vector<Seconds>
+harLatencies(const std::string &scheme, std::vector<SourceSpec> sources)
+{
+    exp::SweepGrid grid;
+    grid.benchmarks = {exp::paperBenchmarks()[2]};
+    grid.schemes = {scheme};
+    grid.sources = std::move(sources);
+    grid.platforms = {"mementos"};
+    std::vector<Seconds> latency;
+    for (const RunResult &r : exp::ExperimentRunner(1).run(grid).points) {
+        EXPECT_TRUE(r.ok()) << scheme;
+        latency.push_back(r.stats.totalTime());
+    }
+    return latency;
+}
+
+TEST(HarvestPhysics, ManyPeriodMouseChargesSeeTheMeanPower)
+{
+    // Each recharge spans many 10 ms periods of a 30% duty, 200 uW
+    // square wave, so the run must take what a constant source of
+    // its 60 uW mean would.
+    const auto t = harLatencies(
+        "mouse", {SourceSpec::square(0.01, 0.3, 200e-6),
+                  SourceSpec::constant(60e-6)});
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_NEAR(t[0] / t[1], 1.0, 0.02);
+}
+
+TEST(HarvestPhysics, ManyPeriodMcuChargesSeeTheMeanPower)
+{
+    const SourceSpec piezo = SourceSpec::corpusTrace("piezo-impulse");
+    const auto t = harLatencies(
+        "mcu:bec", {piezo, SourceSpec::constant(piezo.meanPower())});
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_NEAR(t[0] / t[1], 1.0, 0.10);
 }
 
 } // namespace

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hh"
 #include "harvest/capacitor.hh"
 #include "harvest/converter.hh"
@@ -52,10 +57,10 @@ TEST(Capacitor, PaperBurstEnergies)
 TEST(Capacitor, ChargeAndTimeToChargeAgree)
 {
     Capacitor cap(10e-6, 0.0);
-    const Seconds t = cap.timeToCharge(0.12, 60e-6);
+    const Seconds t = cap.energyTo(0.12) / 60e-6;
     cap.charge(60e-6, t);
     EXPECT_NEAR(cap.voltage(), 0.12, 1e-9);
-    EXPECT_EQ(cap.timeToCharge(0.10, 60e-6), 0.0);
+    EXPECT_EQ(cap.energyTo(0.10), 0.0);
 }
 
 TEST(Capacitor, DrawReducesVoltageAndClampsAtZero)
@@ -84,49 +89,171 @@ TEST(PowerSource, TraceCyclesThroughSegments)
     EXPECT_EQ(src.power(3.5), 100e-6);  // wraps around
 }
 
-TEST(PowerSource, BinarySearchMatchesReferenceScanBitForBit)
+TEST(PowerSource, ConstantChargeTimeIsEnergyOverPower)
 {
-    // The O(log n) threshold lookup must agree with the historical
-    // subtract-and-compare scan for EVERY phase, including ones where
-    // accumulated subtraction error makes the scan disagree with
-    // exact cumulative sums.  Re-run the scan here as the oracle.
-    Rng rng(12345);
-    for (int round = 0; round < 20; ++round) {
-        std::vector<TracePowerSource::Segment> segs;
-        const std::size_t n = 1 + rng.below(7);
-        for (std::size_t i = 0; i < n; ++i) {
-            segs.push_back({1e-4 + rng.uniform() * 2.0,
-                            rng.uniform() * 1e-3});
-        }
-        const TracePowerSource src(segs);
+    const ConstantPowerSource src(60e-6);
+    EXPECT_EQ(src.timeToHarvest(1.2e-6, 5.0, 0.8), 1.2e-6 / (60e-6 * 0.8));
+    EXPECT_EQ(src.energyOver(5.0, 0.02), 60e-6 * 0.02);
+}
 
-        auto scanPower = [&](Seconds t) {
-            Seconds phase = std::fmod(t, src.period());
-            for (const auto &s : segs) {
-                if (phase < s.duration) {
-                    return s.power;
-                }
-                phase -= s.duration;
-            }
-            return segs.back().power;
-        };
-
-        // Dense sweep plus adversarial phases hugging each boundary.
-        std::vector<Seconds> probes;
-        for (int i = 0; i < 400; ++i) {
-            probes.push_back(rng.uniform() * 3.0 * src.period());
-        }
-        Seconds edge = 0.0;
-        for (const auto &s : segs) {
-            edge += s.duration;
-            probes.push_back(std::nextafter(edge, 0.0));
-            probes.push_back(edge);
-            probes.push_back(std::nextafter(edge, 1e30));
-        }
-        for (Seconds t : probes) {
-            ASSERT_EQ(src.power(t), scanPower(t)) << "t=" << t;
+/** Test-local oracle: walk a trace segment by segment from the
+ *  segment holding @p t0's phase. */
+class SegmentWalk
+{
+  public:
+    explicit SegmentWalk(std::vector<TracePowerSource::Segment> segs)
+        : segs_(std::move(segs))
+    {
+        for (const auto &s : segs_) {
+            starts_.push_back(period_);
+            period_ += s.duration;
         }
     }
+
+    Seconds start(std::size_t i) const { return starts_[i]; }
+    Seconds period() const { return period_; }
+
+    Joules
+    energyOver(Seconds t0, Seconds dt) const
+    {
+        auto [i, offset] = locate(t0);
+        Joules e = 0.0;
+        for (Seconds rem = dt; rem > 0.0; i = (i + 1) % segs_.size()) {
+            const Seconds take =
+                std::min(rem, segs_[i].duration - offset);
+            e += take * segs_[i].power;
+            rem -= take;
+            offset = 0.0;
+        }
+        return e;
+    }
+
+    Seconds
+    timeToHarvest(Joules e, Seconds t0, double eff) const
+    {
+        auto [i, offset] = locate(t0);
+        Joules need = e / eff;
+        for (Seconds t = 0.0;; i = (i + 1) % segs_.size()) {
+            const Seconds span = segs_[i].duration - offset;
+            const Joules got = span * segs_[i].power;
+            if (segs_[i].power > 0.0 && need <= got) {
+                return t + need / segs_[i].power;
+            }
+            need -= got;
+            t += span;
+            offset = 0.0;
+        }
+    }
+
+  private:
+    std::pair<std::size_t, Seconds>
+    locate(Seconds t0) const
+    {
+        const Seconds phase = std::fmod(t0, period_);
+        std::size_t i = segs_.size() - 1;
+        while (i > 0 && phase < starts_[i]) {
+            --i;
+        }
+        return {i, phase - starts_[i]};
+    }
+
+    std::vector<TracePowerSource::Segment> segs_;
+    std::vector<Seconds> starts_;
+    Seconds period_ = 0.0;
+};
+
+/** Relative 1e-9, plus @p slack for answers that are rounding noise
+ *  of the phase (a window that grazes a segment edge by an ulp). */
+::testing::AssertionResult
+relNear(double got, double want, double slack)
+{
+    if (std::abs(got - want) <= 1e-9 * std::abs(want) + slack) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << got << " vs " << want << " (rel "
+           << std::abs(got - want) / std::abs(want) << ")";
+}
+
+TEST(PowerSource, ClosedFormMatchesSegmentWalk)
+{
+    // Random 1-8 segment traces, ~30% of segments at zero power,
+    // queried from anywhere in the first 1e6 s for anything from a
+    // sliver of one segment to tens of periods.
+    Rng rng(12345);
+    for (int round = 0; round < 200; ++round) {
+        std::vector<TracePowerSource::Segment> segs;
+        const std::size_t n = 1 + rng.below(8);
+        for (std::size_t i = 0; i < n; ++i) {
+            segs.push_back({1e-4 + rng.uniform() * 2.0,
+                            rng.uniform() < 0.3
+                                ? 0.0
+                                : 1e-6 + rng.uniform() * 1e-3});
+        }
+        if (std::all_of(segs.begin(), segs.end(),
+                        [](const auto &s) { return s.power == 0.0; })) {
+            segs[rng.below(n)].power = 5e-4;
+        }
+        const TracePowerSource src(segs);
+        const SegmentWalk walk(segs);
+        ASSERT_EQ(src.period(), walk.period());
+        const Joules perPeriod = walk.energyOver(0.0, walk.period());
+        // A few ulps of phase at the trace's peak power.
+        Watts peak = 0.0;
+        for (const auto &s : segs) {
+            peak = std::max(peak, s.power);
+        }
+        const Seconds ulps =
+            4.0 * (std::nextafter(walk.period(), 1e30) - walk.period());
+
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(src.power(walk.start(i)), segs[i].power) << i;
+        }
+        std::vector<Seconds> starts;
+        for (int q = 0; q < 20; ++q) {
+            starts.push_back(rng.uniform() * 1e6);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const Seconds edge = walk.start(i);
+            starts.push_back(edge);
+            starts.push_back(std::nextafter(edge, -1.0));
+            starts.push_back(std::nextafter(edge, 1e30));
+        }
+        for (Seconds t0 : starts) {
+            t0 = std::max(t0, 0.0);
+            const double span = std::exp(
+                rng.uniform(std::log(1e-5), std::log(40.0)));
+            const Joules e = span * perPeriod;
+            const double eff = 0.5 + 0.5 * (1.0 - rng.uniform());
+            EXPECT_TRUE(relNear(src.timeToHarvest(e, t0, eff),
+                                walk.timeToHarvest(e, t0, eff), ulps))
+                << "t0=" << t0 << " e=" << e << " eff=" << eff;
+            const Seconds dt = span * walk.period();
+            EXPECT_TRUE(relNear(src.energyOver(t0, dt),
+                                walk.energyOver(t0, dt), ulps * peak))
+                << "t0=" << t0 << " dt=" << dt;
+        }
+    }
+}
+
+TEST(PowerSource, ChargeEndingOnASegmentEdgeStopsThere)
+{
+    // Dyadic durations and powers keep every prefix sum exact, so an
+    // energy that runs out exactly on an edge has one right answer:
+    // the edge, not the far side of the drought that follows it.
+    const TracePowerSource src(
+        {{0.5, 0.25}, {0.25, 0.0}, {0.125, 0.5}, {0.125, 0.0}});
+    // From 0: the first segment delivers 0.125 J by t = 0.5.
+    EXPECT_EQ(src.timeToHarvest(0.125, 0.0, 1.0), 0.5);
+    // Both on-segments: 0.1875 J by the end of the third segment.
+    EXPECT_EQ(src.timeToHarvest(0.1875, 0.0, 1.0), 0.875);
+    // Three periods' energy from inside the first drought ends on
+    // the first segment's edge three periods on.
+    EXPECT_EQ(src.timeToHarvest(3 * 0.1875, 0.5, 1.0), 3.0);
+    // Starting inside a drought steps past it.
+    EXPECT_EQ(src.timeToHarvest(0.0625, 0.5, 1.0), 0.25 + 0.125);
+    EXPECT_EQ(src.energyOver(0.5, 0.375), 0.0625);
+    EXPECT_EQ(src.energyOver(0.0, 2.0), 2 * 0.1875);
 }
 
 TEST(PowerTrace, JsonRoundTripPreservesEverySegmentBit)
@@ -253,18 +380,19 @@ TEST(SourceSpec, MakeMaterializesTheDescribedSource)
 {
     const auto constant = SourceSpec::constant(5e-3).make();
     EXPECT_EQ(constant->power(123.0), 5e-3);
-    EXPECT_EQ(constant->period(), 0.0);
+    EXPECT_EQ(constant->energyOver(123.0, 2.0), 1e-2);
 
     const auto square = SourceSpec::square(0.01, 0.3, 200e-6).make();
     EXPECT_EQ(square->power(0.001), 200e-6);
     EXPECT_EQ(square->power(0.005), 0.0);
-    // The period is the sum of the on and off segments, not the
-    // requested value bit-for-bit.
-    EXPECT_DOUBLE_EQ(square->period(), 0.01);
+    // One period delivers the on phase's energy.
+    EXPECT_DOUBLE_EQ(square->energyOver(0.0, 0.01), 0.003 * 200e-6);
 
     const auto corpus = SourceSpec::corpusTrace("rf-bursty").make();
-    EXPECT_EQ(corpus->period(),
-              corpusTrace("rf-bursty")->period());
+    const auto *trace =
+        dynamic_cast<const TracePowerSource *>(corpus.get());
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(trace->period(), corpusTrace("rf-bursty")->period());
 }
 
 TEST(Converter, PicksLowestSufficientRail)

@@ -286,7 +286,7 @@ TEST(Serve, ReportJsonCarriesSchemaV6ServeBlock)
     // mouse-lint: allow(schema-constants) -- golden pin: the test
     // hardcodes the published version on purpose, so an accidental
     // bump of the central constant fails here.
-    EXPECT_NE(j.find("\"schema\":6"), std::string::npos);
+    EXPECT_NE(j.find("\"schema\":7"), std::string::npos);
     EXPECT_NE(j.find("\"serve_report\":"), std::string::npos);
     EXPECT_NE(j.find("\"requests\":6"), std::string::npos);
     EXPECT_NE(j.find("\"throughput_per_s\":"), std::string::npos);

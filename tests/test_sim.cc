@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "compile/builder.hh"
 #include "sim/simulator.hh"
 
@@ -183,6 +187,49 @@ TEST_F(SimTest, HarvestedTraceBreakdownAccounting)
     // The projected-tech buffer is small enough that this workload
     // needs at least one recharge.
     EXPECT_GT(stats.chargingTime, 0.0);
+}
+
+TEST_F(SimTest, SquareRechargeWaveformRisesToTheRestartVoltage)
+{
+    Word product;
+    const Trace trace = Trace::fromProgram(buildWorkload(product), cfg_);
+    EnergyModel energy(lib_);
+
+    // A 1 uW square wave with 70 us droughts against a buffer that
+    // takes ~4 us of on-time to refill: recharges straddle droughts.
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::square(1e-4, 0.3, 1e-6);
+    harvest.capacitanceOverride = 2e-9;
+    obs::Telemetry telem = obs::Telemetry::make(
+        {.events = true, .waveform = true, .waveformPeriod = 1e-7});
+    const RunStats stats =
+        runHarvestedTrace(trace, energy, harvest, &telem);
+    ASSERT_GT(stats.outages, 0u);
+
+    // Each outage's recharge runs from its power_off to its power_on.
+    std::vector<std::pair<Seconds, Seconds>> recharges;
+    Seconds off = 0.0;
+    for (const obs::TraceEvent &e : telem.sink->events()) {
+        if (e.name == "power_off") {
+            off = e.tsUs * 1e-6;
+        } else if (e.name == "power_on") {
+            recharges.emplace_back(off, e.tsUs * 1e-6);
+        }
+    }
+    ASSERT_EQ(recharges.size(), stats.outages);
+    const Volts vHigh = energy.config().capVoltageHigh;
+    for (const auto &[from, to] : recharges) {
+        std::vector<Volts> volts;
+        for (const obs::WaveformSample &w : telem.sink->waveform()) {
+            if (w.timeS > from && w.timeS <= to * (1.0 + 1e-12)) {
+                volts.push_back(w.capVoltage);
+            }
+        }
+        ASSERT_FALSE(volts.empty()) << "no samples in " << from;
+        EXPECT_TRUE(std::is_sorted(volts.begin(), volts.end()))
+            << "voltage fell during the recharge at " << from;
+        EXPECT_NEAR(volts.back(), vHigh, 1e-12) << from;
+    }
 }
 
 TEST_F(SimTest, LatencyFallsAsPowerRises)
