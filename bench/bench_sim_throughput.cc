@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator itself: gate
- * operating-point solving, tile-level functional execution,
+ * operating-point solving, tile-level functional execution (gates
+ * and presets), the controller step loop of a serving program,
  * trace-level simulation throughput, and the parallel experiment
  * engine's points/sec on the full Figure-9 grid (serial vs N
  * threads).  These guard against performance regressions that would
@@ -10,8 +11,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "compile/builder.hh"
 #include "controller/controller.hh"
+#include "serve/demo.hh"
+#include "serve/models.hh"
 #include "sim/simulator.hh"
 #include "workloads.hh"
 
@@ -31,23 +37,66 @@ BM_SolveGateLibrary(benchmark::State &state)
 }
 BENCHMARK(BM_SolveGateLibrary);
 
-void
-BM_TileGateExecution(benchmark::State &state)
+/**
+ * A 1024x1024 tile whose first eight rows hold seeded random bits, so
+ * the gate rows below see every input combination and both output
+ * states.
+ */
+Tile
+benchTile()
 {
-    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
     Tile tile(1024, 1024);
+    Rng rng(1);
+    for (RowAddr r = 0; r < 8; ++r) {
+        for (ColAddr c = 0; c < 1024; ++c) {
+            tile.setBit(r, c, static_cast<Bit>(rng.below(2)));
+        }
+    }
+    return tile;
+}
+
+/** Gate @p g of @p tech in the first state.range(0) columns; its
+ *  inputs sit on the even rows 0, 2, 4 and its output on row 1. */
+void
+runTileGate(benchmark::State &state, GateType g,
+            TechConfig tech = TechConfig::ProjectedStt)
+{
+    const GateLibrary lib(makeDeviceConfig(tech));
+    Tile tile = benchTile();
     ColumnSet cols(1024);
     cols.addRange(0, static_cast<ColAddr>(state.range(0) - 1));
     for (auto _ : state) {
-        auto r = tile.executeGate(lib, GateType::kNand2, {0, 2, 0},
-                                  1, cols);
+        auto r = tile.executeGate(lib, g, {0, 2, 4}, 1, cols);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
     state.counters["columns_per_gate"] =
         static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_TileGateExecution)->Arg(16)->Arg(256)->Arg(1024);
+
+/** Tile gate cost by width: 4 columns is the paper's 60 µW operating
+ *  point, where the fixed per-call cost dominates; 1024 is a full
+ *  row. */
+void
+BM_TileGateExecution(benchmark::State &state)
+{
+    runTileGate(state, GateType::kNand2);
+}
+BENCHMARK(BM_TileGateExecution)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+
+/** The same at the largest arity: 8 input combos per word.  MAJ3 is
+ *  feasible on the SHE technology only. */
+void
+BM_TileGateExecutionMaj3(benchmark::State &state)
+{
+    runTileGate(state, GateType::kMaj3, TechConfig::ProjectedShe);
+}
+BENCHMARK(BM_TileGateExecutionMaj3)->Arg(4)->Arg(64)->Arg(1024);
 
 /**
  * The retained per-column scalar model (the differential-test
@@ -58,22 +107,73 @@ BENCHMARK(BM_TileGateExecution)->Arg(16)->Arg(256)->Arg(1024);
 void
 BM_TileGateExecutionScalar(benchmark::State &state)
 {
+    Tile::setScalarOracle(true);
+    runTileGate(state, GateType::kNand2);
+    Tile::setScalarOracle(false);
+}
+BENCHMARK(BM_TileGateExecutionScalar)->Arg(16)->Arg(256)->Arg(1024);
+
+/** Row preset (the write pulse ahead of every gate) by width. */
+void
+BM_TilePresetRow(benchmark::State &state)
+{
     const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
-    Tile tile(1024, 1024);
+    Tile tile = benchTile();
     ColumnSet cols(1024);
     cols.addRange(0, static_cast<ColAddr>(state.range(0) - 1));
-    Tile::setScalarOracle(true);
+    Bit value = 0;
     for (auto _ : state) {
-        auto r = tile.executeGate(lib, GateType::kNand2, {0, 2, 0},
-                                  1, cols);
-        benchmark::DoNotOptimize(r);
+        Joules e = tile.presetRow(lib, 1, value, cols);
+        benchmark::DoNotOptimize(e);
+        value ^= 1;
     }
-    Tile::setScalarOracle(false);
     state.SetItemsProcessed(state.iterations() * state.range(0));
     state.counters["columns_per_gate"] =
         static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_TileGateExecutionScalar)->Arg(16)->Arg(256)->Arg(1024);
+BENCHMARK(BM_TilePresetRow)->Arg(4)->Arg(1024);
+
+/**
+ * The controller step loop over the demo SVM serving program,
+ * compiled and deployed as the serving layer does it (the serve
+ * engine geometry of bench_serve_saturation), with every slot
+ * holding a seeded random request.  Items are controller steps.
+ */
+void
+BM_ControllerStepServeSvm(benchmark::State &state)
+{
+    ArrayConfig cfg;
+    cfg.tileRows = 512;
+    cfg.tileCols = 1024;
+    cfg.numDataTiles = 1;
+    cfg.numInstructionTiles = 4096;
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    const serve::PackedModel model = serve::PackedModel::compileSvm(
+        lib, cfg, 0, serve::demoSvm(2));
+    const EnergyModel energy(lib);
+    TileGrid grid(cfg, lib);
+    InstructionMemory imem(cfg);
+    imem.load(model.program().encode());
+    model.deployWeights(grid);
+    Rng rng(1);
+    for (unsigned s = 0; s < model.slots(); ++s) {
+        model.packInput(grid, s, serve::randomInput(rng, model));
+    }
+    Controller ctrl(grid, imem, energy);
+    std::int64_t steps = 0;
+    for (auto _ : state) {
+        ctrl.reset();
+        while (!ctrl.halted()) {
+            StepResult r = ctrl.step();
+            benchmark::DoNotOptimize(r);
+            ++steps;
+        }
+    }
+    state.SetItemsProcessed(steps);
+    state.counters["steps_per_run"] = static_cast<double>(
+        steps / std::max<std::int64_t>(state.iterations(), 1));
+}
+BENCHMARK(BM_ControllerStepServeSvm)->Unit(benchmark::kMicrosecond);
 
 void
 BM_FunctionalAdder(benchmark::State &state)
@@ -222,4 +322,18 @@ BENCHMARK(BM_Fig9GridPoints)
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+        return 1;
+    }
+    // The report's library_build_type is libbenchmark's own; record
+    // the build type of the code under test beside it, so a baseline
+    // says whether it came from an optimised build.
+    benchmark::AddCustomContext("mouse_build_type", MOUSE_BUILD_TYPE);
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

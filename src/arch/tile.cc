@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 #include "device/network.hh"
@@ -14,6 +16,122 @@ namespace
 {
 
 std::atomic<bool> g_scalar_oracle{false};
+
+/** Outcome of one word-parallel gate pass over a tile row. */
+struct WordPass
+{
+    unsigned switched = 0;
+    Joules energy = 0.0;
+};
+
+/** Bit c of the returned word: column c reads input combo @p C on
+ *  the @p N input planes (bit i of C is input i). */
+template <unsigned N, unsigned C>
+std::uint64_t
+comboColumns(const std::array<std::uint64_t, 3> &plane)
+{
+    std::uint64_t m = ~0ULL;
+    if constexpr (N >= 1) {
+        m &= (C & 1) ? plane[0] : ~plane[0];
+    }
+    if constexpr (N >= 2) {
+        m &= (C & 2) ? plane[1] : ~plane[1];
+    }
+    if constexpr (N >= 3) {
+        m &= (C & 4) ? plane[2] : ~plane[2];
+    }
+    return m;
+}
+
+/** Call @p fn with std::integral_constant<unsigned, C> for every C
+ *  in 0..K-1, expanded at compile time. */
+template <unsigned K, typename Fn>
+void
+forEachCombo(Fn &&fn)
+{
+    [&]<unsigned... C>(std::integer_sequence<unsigned, C...>) {
+        (fn(std::integral_constant<unsigned, C>{}), ...);
+    }(std::make_integer_sequence<unsigned, K>{});
+}
+
+/**
+ * Word loop of Tile::executeGate for an @p N-input gate.  @p in
+ * points at the first word of each input row, @p out at the first
+ * word of the output row (never an input: the parity rule puts them
+ * on opposite rows); @p words words of @p active are scanned.
+ *
+ * The current depends only on (input combo, actual output state), so
+ * each 64-column word splits its active columns by combo and output
+ * state with bitwise ops and popcounts them into 2^N × 2 counters.
+ * The combo loop is expanded at compile time, so every mask and
+ * counter index is a constant and the counters stay plain locals.
+ */
+template <unsigned N>
+WordPass
+gateWords(const std::array<const std::uint64_t *, 3> &in,
+          std::uint64_t *out, const ColumnSet &active, unsigned words,
+          const GateOpTable &tbl, bool pulse_completed,
+          double energy_fraction)
+{
+    constexpr unsigned kCombos = 1u << N;
+    // Column populations per (combo, actual output state).
+    std::array<std::array<std::uint64_t, 2>, kCombos> counts{};
+    const bool preset = tbl.preset != 0;
+    const unsigned switch_mask = tbl.switchMask;
+    WordPass pass;
+
+    for (unsigned w = 0; w < words; ++w) {
+        const std::uint64_t act = active.word(w);
+        if (act == 0) {
+            continue;
+        }
+        // Bit c of plane[i] is input i of column c.
+        std::array<std::uint64_t, 3> plane{};
+        for (unsigned i = 0; i < N; ++i) {
+            plane[i] = in[i][w];
+        }
+        // Split by the *actual* output state (bit set = AP) so
+        // un-preset outputs draw their honest current.
+        const std::uint64_t out_w = out[w];
+        const std::uint64_t act_ap = act & out_w;
+        const std::uint64_t act_p = act & ~out_w;
+        // Columns whose combo drives a switching current.
+        std::uint64_t hot = 0;
+        forEachCombo<kCombos>([&](auto combo) {
+            constexpr unsigned C = decltype(combo)::value;
+            const std::uint64_t m = comboColumns<N, C>(plane);
+            counts[C][0] +=
+                static_cast<std::uint64_t>(std::popcount(act_p & m));
+            counts[C][1] +=
+                static_cast<std::uint64_t>(std::popcount(act_ap & m));
+            if ((switch_mask >> C) & 1) {
+                hot |= m;
+            }
+        });
+        // Directionality: only outputs still at the preset state can
+        // flip; a switching-level current through an already-switched
+        // output cannot revert it (idempotency).
+        const std::uint64_t flip = hot & (preset ? act_ap : act_p);
+        if (pulse_completed && flip != 0) {
+            out[w] = preset ? (out_w & ~flip) : (out_w | flip);
+            pass.switched += static_cast<unsigned>(std::popcount(flip));
+        }
+    }
+
+    // Deterministic fixed-order energy fold: one multiply per
+    // (combo, out-state) bucket, always in index order, so the total
+    // is independent of thread count and schedule.
+    for (unsigned combo = 0; combo < kCombos; ++combo) {
+        for (unsigned o = 0; o < 2; ++o) {
+            if (counts[combo][o] != 0) {
+                pass.energy +=
+                    static_cast<double>(counts[combo][o]) *
+                    (tbl.pulseEnergy[combo][o] * energy_fraction);
+            }
+        }
+    }
+    return pass;
+}
 
 } // namespace
 
@@ -27,6 +145,28 @@ bool
 Tile::scalarOracle()
 {
     return g_scalar_oracle.load(std::memory_order_relaxed);
+}
+
+void
+ColumnSet::addRange(ColAddr lo, ColAddr hi)
+{
+    if (lo > hi) {
+        return;
+    }
+    const unsigned first = lo >> 6;
+    const unsigned last = hi >> 6;
+    mouse_assert(last < words_.size(), "column range OOB");
+    for (unsigned w = first; w <= last; ++w) {
+        std::uint64_t fill = ~0ULL;
+        if (w == first) {
+            fill &= ~0ULL << (lo & 63);
+        }
+        if (w == last) {
+            fill &= ~0ULL >> (63 - (hi & 63));
+        }
+        count_ += static_cast<unsigned>(std::popcount(fill & ~words_[w]));
+        words_[w] |= fill;
+    }
 }
 
 std::vector<ColAddr>
@@ -88,17 +228,19 @@ Tile::columnWord(const std::vector<RowAddr> &rows, ColAddr col) const
     return w;
 }
 
-std::uint64_t
-Tile::activeWord(const ColumnSet &active, unsigned w) const
+unsigned
+Tile::activeWords(const ColumnSet &active) const
 {
-    const std::uint64_t raw =
-        w < active.numWords() ? active.word(w) : 0;
-    const unsigned base = w * 64;
-    const std::uint64_t valid = cols_ - base >= 64
-                                    ? ~0ULL
-                                    : (1ULL << (cols_ - base)) - 1;
-    mouse_assert((raw & ~valid) == 0, "tile address OOB");
-    return raw & valid;
+    for (unsigned w = wordsPerRow_; w < active.numWords(); ++w) {
+        mouse_assert(active.word(w) == 0, "tile address OOB");
+    }
+    const unsigned words = std::min(wordsPerRow_, active.numWords());
+    const unsigned tail = cols_ & 63;
+    if (tail != 0 && words == wordsPerRow_) {
+        mouse_assert((active.word(words - 1) >> tail) == 0,
+                     "tile address OOB");
+    }
+    return words;
 }
 
 GateExecResult
@@ -108,24 +250,23 @@ Tile::executeGate(const GateLibrary &lib, GateType g,
 {
     const SolvedGate &solved = lib.gate(g);
     mouse_assert(solved.feasible, "gate not feasible for this tech");
-    const int n = gateNumInputs(g);
+    const GateOpTable &table = lib.opTable(g);
+    const unsigned n = table.numInputs;
     const DeviceConfig &cfg = lib.config();
 
     // Parity rule (Section II-C): all inputs connect to one bitline
     // (same row parity) and the output to the other.
     const unsigned out_parity = out_row & 1;
-    for (int i = 0; i < n; ++i) {
-        mouse_assert(in_rows[static_cast<std::size_t>(i)] < rows_,
-                     "input row OOB");
-        mouse_assert((in_rows[static_cast<std::size_t>(i)] & 1) !=
-                         out_parity,
+    for (unsigned i = 0; i < n; ++i) {
+        mouse_assert(in_rows[i] < rows_, "input row OOB");
+        mouse_assert((in_rows[i] & 1) != out_parity,
                      "logic inputs must have opposite parity to output");
     }
     mouse_assert(out_row < rows_, "output row OOB");
 
     // The current pulse occupies the head of the cycle; an interrupt
     // that lands inside the pulse prevents every switch.
-    const double pulse_fraction = solved.pulseTime / cfg.cycleTime;
+    const double pulse_fraction = table.pulseFraction;
     const bool pulse_completed = cycle_fraction >= pulse_fraction;
     const double energy_fraction =
         pulse_completed ? 1.0 : cycle_fraction / pulse_fraction;
@@ -133,11 +274,9 @@ Tile::executeGate(const GateLibrary &lib, GateType g,
     // Logic-line span of this execution (parasitic wire length).
     RowAddr row_lo = out_row;
     RowAddr row_hi = out_row;
-    for (int i = 0; i < n; ++i) {
-        row_lo = std::min(row_lo,
-                          in_rows[static_cast<std::size_t>(i)]);
-        row_hi = std::max(row_hi,
-                          in_rows[static_cast<std::size_t>(i)]);
+    for (unsigned i = 0; i < n; ++i) {
+        row_lo = std::min(row_lo, in_rows[i]);
+        row_hi = std::max(row_hi, in_rows[i]);
     }
     const unsigned span = static_cast<unsigned>(row_hi - row_lo);
     mouse_assert(span <= solved.maxRowSpan ||
@@ -150,99 +289,45 @@ Tile::executeGate(const GateLibrary &lib, GateType g,
                                  energy_fraction);
     }
 
-    // Word-parallel fast path: the current depends only on (packed
-    // input combo, actual output state, span), so fold 64 columns at
-    // a time against the precomputed operating table.  With ideal
-    // wires the logic-line term is identically zero and the cached
-    // span-0 table is bit-exact at any span.
-    const bool span_dependent =
-        cfg.wireResistancePerCell > 0.0 && span > 0;
+    // Word-parallel fast path: fold 64 columns at a time against the
+    // precomputed operating table.  With ideal wires the logic-line
+    // term is identically zero and the cached span-0 table is
+    // bit-exact at any span.
     GateOpTable local;
-    const GateOpTable *tbl;
-    if (span_dependent) {
+    const GateOpTable *tbl = &table;
+    if (cfg.wireResistancePerCell > 0.0 && span > 0) {
         local = lib.opTableAtSpan(g, span);
         tbl = &local;
-    } else {
-        tbl = &lib.opTable(g);
+    }
+
+    const unsigned words = activeWords(active);
+    std::array<const std::uint64_t *, 3> in{};
+    for (unsigned i = 0; i < n; ++i) {
+        in[i] = &bits_[rowBase(in_rows[i])];
+    }
+    std::uint64_t *out = &bits_[rowBase(out_row)];
+    WordPass pass;
+    switch (n) {
+      case 1:
+        pass = gateWords<1>(in, out, active, words, *tbl,
+                            pulse_completed, energy_fraction);
+        break;
+      case 2:
+        pass = gateWords<2>(in, out, active, words, *tbl,
+                            pulse_completed, energy_fraction);
+        break;
+      default:
+        mouse_assert(n == 3, "gate arity out of range");
+        pass = gateWords<3>(in, out, active, words, *tbl,
+                            pulse_completed, energy_fraction);
+        break;
     }
 
     GateExecResult result;
     result.columns = active.count();
+    result.switched = pass.switched;
+    result.deviceEnergy = pass.energy;
     result.completed = pulse_completed;
-
-    const Bit preset = gatePreset(g);
-    const bool target = !preset;
-    const unsigned num_combos = tbl->numCombos;
-    // Column populations per (combo, actual output state).
-    std::array<std::array<std::uint64_t, 2>, 8> counts{};
-    unsigned switched = 0;
-
-    for (unsigned w = 0; w < wordsPerRow_; ++w) {
-        const std::uint64_t act = activeWord(active, w);
-        if (act == 0) {
-            continue;
-        }
-        // Input row planes: bit c of plane[i] is input i of column c.
-        std::array<std::uint64_t, 3> plane{};
-        for (int i = 0; i < n; ++i) {
-            plane[static_cast<std::size_t>(i)] =
-                bits_[rowBase(in_rows[static_cast<std::size_t>(i)]) +
-                      w];
-        }
-        const std::size_t out_idx = rowBase(out_row) + w;
-        const std::uint64_t out_w = bits_[out_idx];
-        std::uint64_t flip = 0;
-        for (unsigned combo = 0; combo < num_combos; ++combo) {
-            // Membership mask: active columns whose inputs read
-            // exactly this combination.
-            std::uint64_t m = act;
-            for (int i = 0; i < n; ++i) {
-                const std::uint64_t p =
-                    plane[static_cast<std::size_t>(i)];
-                m &= ((combo >> i) & 1) ? p : ~p;
-            }
-            if (m == 0) {
-                continue;
-            }
-            // Split by the *actual* output state (bit set = AP) so
-            // un-preset outputs draw their honest current.
-            const std::uint64_t m_ap = m & out_w;
-            const std::uint64_t m_p = m & ~out_w;
-            counts[combo][0] +=
-                static_cast<std::uint64_t>(std::popcount(m_p));
-            counts[combo][1] +=
-                static_cast<std::uint64_t>(std::popcount(m_ap));
-            // Directionality: only outputs still at the preset state
-            // can flip; a switching-level current through an
-            // already-switched output cannot revert it (idempotency).
-            if (tbl->switches[combo][preset]) {
-                flip |= preset ? m_ap : m_p;
-            }
-        }
-        if (pulse_completed && flip != 0) {
-            bits_[out_idx] = target ? (out_w | flip) : (out_w & ~flip);
-            switched += static_cast<unsigned>(std::popcount(flip));
-        }
-    }
-    // Columns past the tile edge would have tripped the scalar
-    // path's bounds assert; keep that contract for oversized sets.
-    for (unsigned w = wordsPerRow_; w < active.numWords(); ++w) {
-        mouse_assert(active.word(w) == 0, "tile address OOB");
-    }
-
-    // Deterministic fixed-order energy fold: one multiply per
-    // (combo, out-state) bucket, always in index order, so the total
-    // is independent of thread count and schedule.
-    for (unsigned combo = 0; combo < num_combos; ++combo) {
-        for (unsigned out = 0; out < 2; ++out) {
-            if (counts[combo][out] != 0) {
-                result.deviceEnergy +=
-                    static_cast<double>(counts[combo][out]) *
-                    (tbl->pulseEnergy[combo][out] * energy_fraction);
-            }
-        }
-    }
-    result.switched = switched;
     return result;
 }
 
@@ -298,25 +383,23 @@ Tile::presetRow(const GateLibrary &lib, RowAddr row, Bit value,
 {
     mouse_assert(row < rows_, "preset row OOB");
     const WriteOp &w = lib.writeOp();
-    const double pulse_fraction =
-        w.pulseTime / lib.config().cycleTime;
-    const bool completed = cycle_fraction >= pulse_fraction;
+    const bool completed = cycle_fraction >= w.pulseFraction;
     const double energy_fraction =
-        completed ? 1.0 : cycle_fraction / pulse_fraction;
+        completed ? 1.0 : cycle_fraction / w.pulseFraction;
 
-    std::uint64_t pulses = 0;
-    for (unsigned wi = 0; wi < wordsPerRow_; ++wi) {
-        const std::uint64_t act = activeWord(active, wi);
-        pulses += static_cast<std::uint64_t>(std::popcount(act));
-        if (completed && act != 0) {
-            const std::size_t i = rowBase(row) + wi;
-            bits_[i] = value ? (bits_[i] | act) : (bits_[i] & ~act);
+    const unsigned words = activeWords(active);
+    if (completed) {
+        std::uint64_t *dst = &bits_[rowBase(row)];
+        for (unsigned wi = 0; wi < words; ++wi) {
+            const std::uint64_t act = active.word(wi);
+            if (act != 0) {
+                dst[wi] = value ? (dst[wi] | act) : (dst[wi] & ~act);
+            }
         }
     }
-    for (unsigned wi = wordsPerRow_; wi < active.numWords(); ++wi) {
-        mouse_assert(active.word(wi) == 0, "tile address OOB");
-    }
-    return static_cast<double>(pulses) *
+    // Every active column lies in the tile (activeWords asserts it),
+    // so each one takes one write pulse.
+    return static_cast<double>(active.count()) *
            (w.energy * energy_fraction);
 }
 
@@ -345,11 +428,9 @@ Tile::writeRow(const GateLibrary &lib, RowAddr row,
     mouse_assert(row < rows_, "write row OOB");
     mouse_assert(data.size() >= cols_, "row data too small");
     const WriteOp &w = lib.writeOp();
-    const double pulse_fraction =
-        w.pulseTime / lib.config().cycleTime;
-    const bool completed = cycle_fraction >= pulse_fraction;
+    const bool completed = cycle_fraction >= w.pulseFraction;
     const double energy_fraction =
-        completed ? 1.0 : cycle_fraction / pulse_fraction;
+        completed ? 1.0 : cycle_fraction / w.pulseFraction;
 
     if (completed) {
         ColAddr col = 0;

@@ -14,7 +14,8 @@
  * input combo, actual output state, operand row span), so each
  * 64-column word is evaluated by deriving per-combo membership masks
  * from the input row planes with bitwise ops and folding popcounts
- * against a ≤16-entry operating table (GateOpTable).  The original
+ * against a ≤16-entry operating table (GateOpTable), in a word loop
+ * specialised at compile time for the gate's arity.  The original
  * per-column scalar model is retained behind setScalarOracle() as
  * the differential-testing oracle; see docs/ARCHITECTURE.md
  * ("Functional fast path").
@@ -67,13 +68,9 @@ class ColumnSet
         }
     }
 
-    void
-    addRange(ColAddr lo, ColAddr hi)
-    {
-        for (ColAddr c = lo; c <= hi; ++c) {
-            add(c);
-        }
-    }
+    /** Add columns lo..hi inclusive (none when lo > hi), a whole
+     *  64-column word at a time. */
+    void addRange(ColAddr lo, ColAddr hi);
 
     bool
     test(ColAddr col) const
@@ -249,9 +246,10 @@ class Tile
                                      unsigned span, bool pulse_completed,
                                      double energy_fraction);
 
-    /** Active-column word @p w clipped to this tile's width, with an
-     *  out-of-bounds assert matching the scalar path's. */
-    std::uint64_t activeWord(const ColumnSet &active, unsigned w) const;
+    /** Number of leading words of @p active that lie in this tile,
+     *  after asserting — as the scalar path's per-column bounds check
+     *  would — that no active column lies past the tile edge. */
+    unsigned activeWords(const ColumnSet &active) const;
 
     unsigned rows_;
     unsigned cols_;

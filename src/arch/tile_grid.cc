@@ -26,7 +26,8 @@ InstructionMemory::fetch(std::size_t addr) const
 
 TileGrid::TileGrid(const ArrayConfig &cfg, const GateLibrary &lib)
     : cfg_(cfg), lib_(lib), tiles_(cfg.numDataTiles),
-      active_(cfg.tileCols), buffer_(cfg.tileCols, 0)
+      active_(cfg.tileCols), buffer_(cfg.tileCols, 0),
+      shifted_(cfg.tileCols, 0)
 {
 }
 
@@ -132,13 +133,12 @@ TileGrid::execute(const Instruction &inst, double cycle_fraction)
         // column (c + shift) mod width — the cross-column transport
         // behind gather/reduction phases.
         const unsigned width = cfg_.tileCols;
-        std::vector<Bit> rotated(width);
         for (unsigned c = 0; c < width; ++c) {
-            rotated[c] = buffer_[(c + inst.colLo) % width];
+            shifted_[c] = buffer_[(c + inst.colLo) % width];
         }
         countOp(inst.tile, 0);
         out.deviceEnergy += tile(inst.tile).writeRow(
-            lib_, inst.outRow, rotated, cycle_fraction);
+            lib_, inst.outRow, shifted_, cycle_fraction);
         break;
       }
       case Opcode::kPreset0:

@@ -155,6 +155,9 @@ class TileGrid
     std::vector<std::unique_ptr<Tile>> tiles_;
     ColumnSet active_;
     std::vector<Bit> buffer_;
+    /** Scratch row kWriteRowShifted rotates the buffer into; holds
+     *  no state between instructions. */
+    std::vector<Bit> shifted_;
     /** Telemetry counters, indexed by tile (empty when detached). */
     std::vector<obs::Counter *> stOps_;
     std::vector<obs::Counter *> stSwitched_;

@@ -34,6 +34,7 @@ GateLibrary::GateLibrary(const DeviceConfig &cfg, double margin)
     write_.voltage = i_write * worst_write_r;
     write_.pulseTime = cfg_.mtj.switchingTime;
     write_.energy = write_.voltage * i_write * write_.pulseTime;
+    write_.pulseFraction = write_.pulseTime / cfg_.cycleTime;
 
     // Read pulse: sense with a sub-critical current through the
     // low-resistance (parallel) path so the worst case stays safely
@@ -56,11 +57,13 @@ GateLibrary::opTableAtSpan(GateType g, unsigned row_span) const
 {
     const SolvedGate &solved = gate(g);
     GateOpTable t;
-    t.numCombos = 1u << gateNumInputs(g);
+    t.numInputs = static_cast<unsigned>(gateNumInputs(g));
+    t.preset = gatePreset(g);
     if (!solved.feasible) {
         return t;
     }
-    for (unsigned combo = 0; combo < t.numCombos; ++combo) {
+    t.pulseFraction = solved.pulseTime / cfg_.cycleTime;
+    for (unsigned combo = 0; combo < (1u << t.numInputs); ++combo) {
         for (unsigned out = 0; out < 2; ++out) {
             const Amperes i = gateOutputCurrentFactored(
                 cfg_, solved.voltage, solved.inputParallelR[combo],
@@ -68,7 +71,10 @@ GateLibrary::opTableAtSpan(GateType g, unsigned row_span) const
             t.current[combo][out] = i;
             t.pulseEnergy[combo][out] =
                 solved.voltage * i * solved.pulseTime;
-            t.switches[combo][out] = i >= cfg_.mtj.switchingCurrent;
+            if (out == t.preset &&
+                i >= cfg_.mtj.switchingCurrent) {
+                t.switchMask |= static_cast<std::uint8_t>(1u << combo);
+            }
         }
     }
     return t;

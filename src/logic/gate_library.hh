@@ -32,6 +32,9 @@ struct WriteOp
     /** Supply energy of a single-cell write pulse. */
     Joules energy = 0.0;
     Seconds pulseTime = 0.0;
+    /** pulseTime / cycleTime: share of the instruction cycle the
+     *  write pulse occupies (an earlier interrupt cuts it short). */
+    double pulseFraction = 0.0;
 };
 
 /** Operating point of a memory read (sense) pulse. */
@@ -46,20 +49,29 @@ struct ReadOp
 /**
  * Operating table of one gate execution at one operand row span:
  * for every (packed input combination × actual output state), the
- * output-device current, the supply energy of one full pulse, and
- * whether that current exceeds the critical current.  This is the
- * lookup table the word-parallel Tile path folds popcounts against —
- * at most 2^n × 2 entries replace one network solve per column.
+ * output-device current and the supply energy of one full pulse,
+ * plus the per-gate invariants the word-parallel Tile path needs on
+ * every call.  This is the lookup table that path folds popcounts
+ * against — at most 2^n × 2 entries replace one network solve per
+ * column.
  */
 struct GateOpTable
 {
-    unsigned numCombos = 0;
+    /** Gate arity n (1..3); rows below 2^n are filled. */
+    unsigned numInputs = 0;
+    /** Value the output MTJ is preset to before the pulse. */
+    Bit preset = 0;
+    /** Bit c set iff combo c drives at least the critical current
+     *  through an output still at the preset state — the only state
+     *  the pulse can switch (directionality). */
+    std::uint8_t switchMask = 0;
+    /** pulseTime / cycleTime: share of the instruction cycle the
+     *  gate pulse occupies. */
+    double pulseFraction = 0.0;
     /** [packed combo][actual output state (P=0, AP=1)]. */
     std::array<std::array<Amperes, 2>, 8> current{};
     /** Supply energy of one complete pulse, (V·I)·t. */
     std::array<std::array<Joules, 2>, 8> pulseEnergy{};
-    /** current >= switchingCurrent (threshold decision). */
-    std::array<std::array<bool, 2>, 8> switches{};
 };
 
 /** Solved gates and memory operations for one device configuration. */

@@ -5,14 +5,17 @@
  * (Tile::setScalarOracle) must produce bit-identical MTJ state for
  * every gate type, technology, margin, random column mask, un-preset
  * output, and cycle_fraction — including partial-pulse interrupts —
- * and matching switch/column counts.  Device energy is compared to a
- * tight relative tolerance (the word path folds per-bucket popcount
- * multiplies instead of a per-column sum, so the totals may differ
- * in ulps).
+ * and matching switch/column counts.  Odd tile widths, active sets
+ * confined to one high word and one row wired to several inputs are
+ * covered too.  Device energy is compared to a tight relative
+ * tolerance (the word path folds per-bucket popcount multiplies
+ * instead of a per-column sum, so the totals may differ in ulps).
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -69,9 +72,34 @@ randomColumns(unsigned cols, Rng &rng)
 }
 
 /**
- * Execute one gate on two identically-seeded tiles — word path vs
+ * Execute one gate on two identically-filled tiles — word path vs
  * scalar oracle — and require bit-identical state and bookkeeping.
  */
+void
+diffGate(const GateLibrary &lib, GateType g, Tile &word, Tile &scalar,
+         const std::array<RowAddr, 3> &in_rows, RowAddr out_row,
+         const ColumnSet &active, double cycle_fraction = 1.0)
+{
+    const GateExecResult rw = word.executeGate(
+        lib, g, in_rows, out_row, active, cycle_fraction);
+    GateExecResult rs;
+    {
+        ScalarOracleGuard oracle;
+        rs = scalar.executeGate(lib, g, in_rows, out_row, active,
+                                cycle_fraction);
+    }
+
+    EXPECT_EQ(word.snapshot(), scalar.snapshot())
+        << "gate " << gateName(g) << " width " << word.numCols()
+        << " fraction " << cycle_fraction;
+    EXPECT_EQ(rw.switched, rs.switched);
+    EXPECT_EQ(rw.columns, rs.columns);
+    EXPECT_EQ(rw.completed, rs.completed);
+    expectEnergyNear(rw.deviceEnergy, rs.deviceEnergy);
+}
+
+/** diffGate on random contents, a random column mask and distinct
+ *  random operand rows. */
 void
 diffExecute(const GateLibrary &lib, GateType g, unsigned rows,
             unsigned cols, double cycle_fraction, Rng &rng)
@@ -98,22 +126,8 @@ diffExecute(const GateLibrary &lib, GateType g, unsigned rows,
     }
     const RowAddr out_row =
         static_cast<RowAddr>(1 + 2 * rng.below(rows / 2));
-
-    const GateExecResult rw = word.executeGate(
-        lib, g, in_rows, out_row, active, cycle_fraction);
-    GateExecResult rs;
-    {
-        ScalarOracleGuard oracle;
-        rs = scalar.executeGate(lib, g, in_rows, out_row, active,
-                                cycle_fraction);
-    }
-
-    EXPECT_EQ(word.snapshot(), scalar.snapshot())
-        << "gate " << gateName(g) << " fraction " << cycle_fraction;
-    EXPECT_EQ(rw.switched, rs.switched);
-    EXPECT_EQ(rw.columns, rs.columns);
-    EXPECT_EQ(rw.completed, rs.completed);
-    expectEnergyNear(rw.deviceEnergy, rs.deviceEnergy);
+    diffGate(lib, g, word, scalar, in_rows, out_row, active,
+             cycle_fraction);
 }
 
 /** Sweep every feasible gate of @p lib over interrupt fractions and
@@ -173,6 +187,78 @@ TEST(TileFastPath, MatchesScalarOracleWithWireParasitics)
             withParasitics(makeDeviceConfig(tech), 2.0);
         const GateLibrary lib(cfg);
         diffSweep(lib, seed++);
+    }
+}
+
+TEST(TileFastPath, MatchesScalarOracleAtOddWidths)
+{
+    // Widths below, at and just past a word boundary, and a
+    // many-word row with a partial last word; SHE has a feasible
+    // gate of every arity.
+    const GateLibrary lib(
+        makeDeviceConfig(TechConfig::ProjectedShe));
+    const DeviceConfig &cfg = lib.config();
+    Rng rng(41);
+    for (unsigned cols : {1u, 63u, 65u, 100u, 1000u}) {
+        for (GateType g : lib.feasibleGates()) {
+            const double pf = lib.gate(g).pulseTime / cfg.cycleTime;
+            for (double f : {1.0, pf * 0.5}) {
+                diffExecute(lib, g, 8, cols, f, rng);
+            }
+        }
+    }
+}
+
+TEST(TileFastPath, ActiveSetInOneHighWordMatchesScalar)
+{
+    // Every active column sits in the last word (a partial one at
+    // width 1000); the lower words must be skipped, not misread.
+    const GateLibrary lib(
+        makeDeviceConfig(TechConfig::ProjectedShe));
+    Rng rng(43);
+    for (unsigned cols : {1000u, 1024u}) {
+        for (GateType g : lib.feasibleGates()) {
+            Tile word(8, cols);
+            Tile scalar(8, cols);
+            randomFill(word, scalar, rng);
+            ColumnSet active(cols);
+            for (ColAddr c = 960; c < cols; ++c) {
+                if (rng.below(2) == 0) {
+                    active.add(c);
+                }
+            }
+            active.add(static_cast<ColAddr>(cols - 1));
+            diffGate(lib, g, word, scalar, {0, 2, 4}, 1, active);
+        }
+    }
+}
+
+TEST(TileFastPath, AliasedInputRowsMatchScalar)
+{
+    // One row wired to several gate inputs: only the combos whose
+    // aliased bits agree can occur.
+    const GateLibrary lib(
+        makeDeviceConfig(TechConfig::ProjectedShe));
+    struct Case
+    {
+        GateType g;
+        std::array<RowAddr, 3> in;
+    };
+    const Case cases[] = {
+        {GateType::kNand2, {2, 2, 0}},
+        {GateType::kNor2, {4, 4, 0}},
+        {GateType::kMaj3, {0, 0, 2}},
+        {GateType::kMaj3, {0, 2, 0}},
+        {GateType::kMaj3, {2, 0, 0}},
+        {GateType::kAnd3, {4, 4, 4}},
+    };
+    Rng rng(47);
+    for (const Case &c : cases) {
+        Tile word(8, 100);
+        Tile scalar(8, 100);
+        randomFill(word, scalar, rng);
+        const ColumnSet active = randomColumns(100, rng);
+        diffGate(lib, c.g, word, scalar, c.in, 1, active);
     }
 }
 
@@ -271,6 +357,30 @@ TEST(TileFastPath, PresetRowInterruptionAcrossWordBoundary)
     }
 }
 
+TEST(TileFastPath, PresetRowChargesOnePulsePerActiveColumn)
+{
+    const GateLibrary lib(
+        makeDeviceConfig(TechConfig::ProjectedStt));
+    const WriteOp &w = lib.writeOp();
+    const double pf = w.pulseTime / lib.config().cycleTime;
+    Rng rng(53);
+    for (unsigned cols : {1u, 63u, 65u, 100u, 1000u}) {
+        const ColumnSet active = randomColumns(cols, rng);
+        const double pulses =
+            static_cast<double>(active.columns().size());
+        Tile tile(4, cols);
+
+        const Joules full = tile.presetRow(lib, 1, 1, active, 1.0);
+        EXPECT_EQ(full, pulses * w.energy) << "width " << cols;
+        const Joules cut = tile.presetRow(lib, 3, 1, active, pf * 0.5);
+        expectEnergyNear(cut, pulses * w.energy * 0.5);
+        for (ColAddr c = 0; c < cols; ++c) {
+            EXPECT_EQ(tile.bit(1, c), active.test(c) ? 1 : 0);
+            EXPECT_EQ(tile.bit(3, c), 0);
+        }
+    }
+}
+
 TEST(TileFastPath, WriteReadRowRoundTripAcrossWordBoundary)
 {
     const GateLibrary lib(
@@ -320,6 +430,47 @@ TEST(TileFastPath, ColumnSetWordsAgreeWithEnumeration)
     set.forEachColumn([&](ColAddr c) { visited.push_back(c); });
     EXPECT_EQ(visited, set.columns());
     EXPECT_EQ(set.count(), visited.size());
+}
+
+TEST(TileFastPath, AddRangeMatchesPerColumnAdds)
+{
+    // Ranges inside one word, across word boundaries and ending in a
+    // partial word, over sets that already hold some members.
+    Rng rng(59);
+    for (unsigned cols : {1u, 63u, 64u, 65u, 100u, 1000u, 1024u}) {
+        for (int trial = 0; trial < 40; ++trial) {
+            ColumnSet ranged(cols);
+            ColumnSet single(cols);
+            for (int k = 0; k < 3; ++k) {
+                const auto c = static_cast<ColAddr>(rng.below(cols));
+                ranged.add(c);
+                single.add(c);
+            }
+            auto lo = static_cast<ColAddr>(rng.below(cols));
+            auto hi = static_cast<ColAddr>(rng.below(cols));
+            if (trial == 0) {
+                lo = 0;
+                hi = static_cast<ColAddr>(cols - 1);
+            }
+            if (lo > hi) {
+                std::swap(lo, hi);
+            }
+            ranged.addRange(lo, hi);
+            for (unsigned c = lo; c <= hi; ++c) {
+                single.add(static_cast<ColAddr>(c));
+            }
+            ASSERT_EQ(ranged.count(), single.count())
+                << cols << " [" << lo << ", " << hi << "]";
+            for (unsigned w = 0; w < ranged.numWords(); ++w) {
+                ASSERT_EQ(ranged.word(w), single.word(w));
+            }
+        }
+    }
+    // An empty range (lo > hi) adds nothing.
+    ColumnSet set(128);
+    set.addRange(70, 69);
+    EXPECT_EQ(set.count(), 0u);
+    EXPECT_EQ(set.word(1), 0u);
 }
 
 } // namespace

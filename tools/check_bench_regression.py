@@ -122,6 +122,12 @@ def load_items_per_second(path):
     for bench in doc["benchmarks"]:
         if "items_per_second" in bench:
             out[bench["name"]] = bench["items_per_second"]
+    # A --benchmark_repetitions report holds one row per repetition
+    # under the same name; its median aggregate stands for the name.
+    for bench in doc["benchmarks"]:
+        if bench.get("aggregate_name") == "median" and \
+                "items_per_second" in bench:
+            out[bench["run_name"]] = bench["items_per_second"]
     return out
 
 
