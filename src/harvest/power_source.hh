@@ -108,12 +108,13 @@ class TracePowerSource : public PowerSource
             period_ += s.duration;
             periodEnergy_ += s.duration * s.power;
         }
+        splitPeriod();
     }
 
     Watts
     power(Seconds t) const override
     {
-        return segments_[segmentAt(std::fmod(t, period_))].power;
+        return segments_[segmentAt(phase(t))].power;
     }
 
     Seconds
@@ -127,8 +128,8 @@ class TracePowerSource : public PowerSource
         }
         // Count energy from the start of t0's period, skip whole
         // periods, and leave a remainder in (0, periodEnergy_].
-        const Seconds phase = std::fmod(t0, period_);
-        const Joules target = energyAt(phase) + e / eff;
+        const Seconds ph = phase(t0);
+        const Joules target = energyAt(ph) + e / eff;
         double k = std::max(0.0, std::ceil(target / periodEnergy_) - 1.0);
         Joules rest = target - k * periodEnergy_;
         if (rest <= 0.0) {
@@ -142,21 +143,30 @@ class TracePowerSource : public PowerSource
             std::lower_bound(energy_.begin() + 1, energy_.end(), rest) -
             energy_.begin() - 1);
         return k * period_ + start_[i] +
-               (rest - energy_[i]) / segments_[i].power - phase;
+               (rest - energy_[i]) / segments_[i].power - ph;
     }
 
     Joules
     energyOver(Seconds t0, Seconds dt) const override
     {
-        const Seconds phase = std::fmod(t0, period_);
-        const Seconds end = phase + dt;
+        const Seconds ph = phase(t0);
+        const Seconds end = ph + dt;
         const double k = std::floor(end / period_);
         return k * periodEnergy_ + energyAt(end - k * period_) -
-               energyAt(phase);
+               energyAt(ph);
     }
 
     /** Repetition period: the sum of the segment durations. */
     Seconds period() const { return period_; }
+
+    /**
+     * @p t modulo period(), bit-identical to std::fmod(t, period())
+     * but several times cheaper: the quotient's multiple of the
+     * period is formed exactly (Dekker's two-product) and subtracted.
+     * std::fmod still answers quotients of 2^53 and above, negative
+     * and non-finite times.
+     */
+    Seconds phase(Seconds t) const;
 
     const std::vector<Segment> &segments() const { return segments_; }
 
@@ -194,12 +204,21 @@ class TracePowerSource : public PowerSource
         return energy_[i] + (phase - start_[i]) * segments_[i].power;
     }
 
+    /** Veltkamp split of period_ into periodHi_ + periodLo_, 26
+     *  significant bits each (for phase()). */
+    void splitPeriod();
+
+    /** Exact t - n * period_ for an integral @p n below 2^53. */
+    Seconds remainderAfter(Seconds t, double n) const;
+
     std::vector<Segment> segments_;
     /** Start phase of each segment. */
     std::vector<Seconds> start_;
     /** Energy delivered before each segment starts. */
     std::vector<Joules> energy_;
     Seconds period_ = 0.0;
+    Seconds periodHi_ = 0.0;
+    Seconds periodLo_ = 0.0;
     Joules periodEnergy_ = 0.0;
 };
 

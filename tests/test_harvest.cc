@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -254,6 +256,49 @@ TEST(PowerSource, ChargeEndingOnASegmentEdgeStopsThere)
     EXPECT_EQ(src.timeToHarvest(0.0625, 0.5, 1.0), 0.25 + 0.125);
     EXPECT_EQ(src.energyOver(0.5, 0.375), 0.0625);
     EXPECT_EQ(src.energyOver(0.0, 2.0), 2 * 0.1875);
+}
+
+TEST(PowerSource, PhaseIsBitIdenticalToFmod)
+{
+    // Every corpus trace and every square period the repository
+    // runs, at random times over 24 decades and at, and one ulp
+    // either side of, random multiples of the period.
+    std::vector<TracePowerSource> sources;
+    for (const PowerTrace &t : powerTraceCorpus()) {
+        sources.emplace_back(t.segments);
+    }
+    for (const Seconds period : {4e-6, 1e-4, 0.01, 1.0}) {
+        sources.push_back(TracePowerSource::square(period, 0.3, 1e-3));
+    }
+    Rng rng(20261017);
+    for (const TracePowerSource &src : sources) {
+        const Seconds p = src.period();
+        const auto same = [&](Seconds t) {
+            const Seconds want = std::fmod(t, p);
+            const Seconds got = src.phase(t);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << "t=" << t << " period=" << p << " got=" << got
+                << " want=" << want;
+        };
+        for (int i = 0; i < 100000; ++i) {
+            same(std::exp(rng.uniform(std::log(1e-12), std::log(1e12))));
+        }
+        for (int i = 0; i < 30000; ++i) {
+            const Seconds m =
+                std::floor(std::exp(rng.uniform(0.0, std::log(1e15)))) *
+                p;
+            same(m);
+            same(std::nextafter(m, 0.0));
+            same(std::nextafter(m, 1e300));
+        }
+        // Quotients from 2^53 on, and negative times, take fmod.
+        for (const Seconds t :
+             {0.0, p, std::nextafter(p, 0.0), 0x1p53 * p,
+              0x1p60 * p + p / 3.0, -1.5 * p, -0.0}) {
+            same(t);
+        }
+    }
 }
 
 TEST(PowerTrace, JsonRoundTripPreservesEverySegmentBit)
