@@ -51,15 +51,6 @@ finalize(McuProgram &prog, unsigned clankRegionOps)
 
 } // namespace
 
-std::size_t
-McuProgram::blockOf(std::uint64_t op) const
-{
-    mouse_assert(op < totalOps, "op index out of range");
-    const auto it = std::upper_bound(blockStart.begin(),
-                                     blockStart.end(), op);
-    return static_cast<std::size_t>(it - blockStart.begin()) - 1;
-}
-
 std::uint64_t
 McuProgram::regionStart(std::uint64_t op) const
 {

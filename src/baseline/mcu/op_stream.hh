@@ -60,9 +60,6 @@ struct McuProgram
      */
     std::vector<std::uint64_t> checkpoints;
 
-    /** Block index containing @p op (binary search). */
-    std::size_t blockOf(std::uint64_t op) const;
-
     /** Largest checkpoint <= @p op (0 when none are placed). */
     std::uint64_t regionStart(std::uint64_t op) const;
 };

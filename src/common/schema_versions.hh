@@ -23,10 +23,13 @@ namespace mouse::schema {
  *  5 = "source"/"platform" scenario provenance in the point block;
  *  6 = "system"/"scheme" baseline provenance in the point block;
  *  7 = exact closed-form harvesting, which changes the results of
- *  every time-varying source (docs/EXPERIMENTS_API.md,
+ *  every time-varying source; 8 = the MCU baseline runs in the
+ *  simulators' burst loop, and platform front ends derate the source
+ *  instead of the load, which moves every MCU point and every MOUSE
+ *  point on a platform (docs/EXPERIMENTS_API.md,
  *  docs/FAULT_INJECTION.md, docs/SERVING.md, docs/HARVESTING.md,
  *  docs/BASELINES.md). */
-inline constexpr int kResultSchemaVersion = 7;
+inline constexpr int kResultSchemaVersion = 8;
 
 /** "metrics_schema" field of MetricsSnapshot documents emitted by
  *  src/obs/metrics_hub (docs/OBSERVABILITY.md "Live metrics

@@ -51,8 +51,12 @@ runErrorName(RunError e)
         return "harvest_source_invalid";
       case RunError::kHarvestPlatformUnknown:
         return "harvest_platform_unknown";
+      case RunError::kHarvestConverterInvalid:
+        return "harvest_converter_invalid";
       case RunError::kBaselineSchemeUnknown:
         return "baseline_scheme_unknown";
+      case RunError::kProgramMissing:
+        return "program_missing";
     }
     return "unknown";
 }
@@ -87,12 +91,17 @@ runErrorMessage(RunError e)
         return "req.harvest.platform names no preset; see "
                "platformNames() (harvest/platform.hh) for the "
                "catalog";
+      case RunError::kHarvestConverterInvalid:
+        return "req.harvest.converterEfficiency must lie in (0, 1]";
       case RunError::kBaselineSchemeUnknown:
         return "req.baseline names no executable system/scheme for "
                "this request: use \"mouse\" or \"mcu:<scheme>\" "
                "(baselineSelectorNames(), baseline/selector.hh); "
                "\"sonic\" and Scheduled-power MCU runs live at the "
                "sweep/campaign layer";
+      case RunError::kProgramMissing:
+        return "Functional fidelity runs the loaded program: call "
+               "loadProgram() first";
     }
     return "unknown run error";
 }
@@ -123,6 +132,10 @@ validateRunRequest(const RunRequest &req)
         if (!req.harvest.platform.empty() &&
             platformByName(req.harvest.platform) == nullptr) {
             return RunError::kHarvestPlatformUnknown;
+        }
+        const double eff = req.harvest.converterEfficiency;
+        if (!(eff > 0.0 && eff <= 1.0)) {
+            return RunError::kHarvestConverterInvalid;
         }
     }
     BaselineSelector sel;

@@ -128,11 +128,17 @@ enum class RunError
     /** Harvested power naming a platform preset that is not in
      *  harvest/platform.hh's catalog. */
     kHarvestPlatformUnknown,
+    /** Harvested power with a converterEfficiency outside (0, 1]
+     *  or NaN. */
+    kHarvestConverterInvalid,
     /** req.baseline names no system/scheme this request can execute:
      *  an unparseable selector, an unknown MCU scheme, "sonic" (which
      *  only sweeps can calibrate), or a non-mouse system under
      *  Scheduled power. */
     kBaselineSchemeUnknown,
+    /** Functional fidelity on an Accelerator that has no program
+     *  loaded (execute() checks this; validateRunRequest() cannot). */
+    kProgramMissing,
 };
 
 /** Stable machine-readable name of a RunError ("trace_missing"). */

@@ -169,8 +169,7 @@ ExperimentRunner::run(const SweepGrid &grid) const
         obs::Telemetry telem = obs::Telemetry::make(grid.telemetry);
         obs::Telemetry *tp = telem.enabled() ? &telem : nullptr;
         // Scheme dispatch: the schemes axis selects which system
-        // simulates this point.  Telemetry channels are MOUSE
-        // concepts; baseline points leave their sinks empty.
+        // simulates this point.
         BaselineSelector sel;
         if (!parseBaselineSelector(point.scheme, &sel)) {
             r.error = RunError::kBaselineSchemeUnknown;
@@ -182,9 +181,9 @@ ExperimentRunner::run(const SweepGrid &grid) const
                            : 0);
             r.stats =
                 point.continuous()
-                    ? mcu::mcuRunContinuous(mp, *scheme)
+                    ? mcu::mcuRunContinuous(mp, *scheme, tp)
                     : mcu::mcuRunHarvested(mp, *scheme,
-                                           grid.harvestFor(point));
+                                           grid.harvestFor(point), tp);
         } else if (sel.system == BaselineSystem::kSonic) {
             const auto sb = sonicBenchmarkFor(
                 grid.benchmarks[point.benchmark].name);

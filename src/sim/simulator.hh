@@ -9,7 +9,7 @@
  * cut lands, then recharges.  The loop owns the RunStats accounting,
  * idle energy, non-termination detection and telemetry.
  *
- * Two machines share one energy model:
+ * Three machines run on it; the first two share one energy model:
  *
  *  - Functional (controller): drives the Controller/TileGrid
  *    bit-exact machine, including real micro-step power cuts and the
@@ -22,6 +22,10 @@
  *    bit updates would be pointless — the instruction stream is data-
  *    independent, so cycle counts are exact and energy differs only
  *    by the data-dependence of gate pulse currents.
+ *
+ *  - MCU (baseline/mcu/mcu_model.hh): the intermittent-MCU baseline
+ *    walks its priced op stream under a backup scheme, keeping the
+ *    scheme's just-in-time backup energy in reserve.
  *
  * Three powers: continuous (never cuts), a harvesting environment
  * (capacitor + power source + voltage window), and a scripted
@@ -60,15 +64,15 @@ struct HarvestConfig
     SourceSpec source;
     /**
      * Named capacitor/converter platform preset
-     * (harvest/platform.hh); empty keeps the technology's buffer
-     * sizing and the configured converter efficiency.  A platform
-     * replaces the default buffer capacitance (capacitanceOverride
-     * still wins) and derates converterEfficiency by its front-end
-     * efficiency.
+     * (harvest/platform.hh); empty keeps the system's default buffer
+     * and a lossless front end.  A platform replaces the default
+     * buffer capacitance (capacitanceOverride still wins), and its
+     * front-end efficiency derates the source (frontEndEfficiency).
      */
     std::string platform;
-    /** Converter efficiency; 1.0 reproduces the paper's accounting
-     *  (regulator overhead excluded). */
+    /** Buffer -> load converter efficiency in (0, 1]; it derates the
+     *  load.  1.0 reproduces the paper's accounting (regulator
+     *  overhead excluded). */
     double converterEfficiency = 1.0;
     /** Non-zero: replace the configuration's buffer capacitor (the
      *  Capybara-style tuning knob; also lets small demo programs
@@ -103,10 +107,10 @@ struct HarvestConfig
 Farads effectiveCapacitance(const HarvestConfig &harvest,
                             Farads techBuffer);
 
-/** Effective converter efficiency of @p harvest: the configured
- *  efficiency, derated by the named platform's front-end efficiency
- *  when one is set.  Fatal on an unknown platform name. */
-double effectiveConverterEfficiency(const HarvestConfig &harvest);
+/** Front-end (source -> buffer) efficiency of @p harvest: the named
+ *  platform's, 1.0 without one.  Fatal on an unknown platform
+ *  name. */
+double frontEndEfficiency(const HarvestConfig &harvest);
 
 /**
  * Continuous-power functional run of a full program.

@@ -28,7 +28,7 @@ analyzeTermination(const Trace &trace, const EnergyModel &energy,
 
     TerminationReport report;
     report.burstEnergy = burstEnergyFor(cfg, cap) *
-                         effectiveConverterEfficiency(harvest);
+                         harvest.converterEfficiency;
 
     // The binding constraint is the block maximizing instruction +
     // restore cost (the restore after an outage inside that block
@@ -64,7 +64,7 @@ maxSafeParallelism(const EnergyModel &energy,
     const Farads cap =
         effectiveCapacitance(harvest, cfg.bufferCapacitance);
     const Joules burst = burstEnergyFor(cfg, cap) *
-                         effectiveConverterEfficiency(harvest);
+                         harvest.converterEfficiency;
 
     // Binary-search the widest gate instruction that still leaves
     // room for its own restore.  The ceiling is far above any

@@ -356,7 +356,7 @@ TEST(Report, CarriesSchemaVersionAndVerdictTaxonomy)
     // mouse-lint: allow(schema-constants) -- golden pin: the test
     // hardcodes the published version on purpose, so an accidental
     // bump of the central constant fails here.
-    EXPECT_NE(j.find("\"schema\":7"), std::string::npos);
+    EXPECT_NE(j.find("\"schema\":8"), std::string::npos);
     EXPECT_NE(j.find("\"workload\":\"gates\""), std::string::npos);
     EXPECT_NE(j.find("\"verdicts\":{\"match\":"), std::string::npos);
     EXPECT_NE(j.find("\"stat_registry\":"), std::string::npos);

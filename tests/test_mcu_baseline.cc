@@ -5,11 +5,14 @@
  * the harvested runner (including the Clank watchdog path), the
  * fault-injection conformance campaigns, the SweepGrid `schemes`
  * axis (decode order and radix-1 back-compat), the runner's
- * system dispatch with thread-count byte-identity, and the typed
- * kBaselineSchemeUnknown error through the run API.
+ * system dispatch with thread-count byte-identity, telemetry parity
+ * with the MOUSE runners, and the typed errors through the run API.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "baseline/mcu/datasheet.hh"
 #include "baseline/mcu/eh_scheme.hh"
@@ -211,6 +214,56 @@ TEST(McuModel, WatchdogBreaksRegionsLongerThanOneBurst)
     EXPECT_GT(run.backupEnergy, 0.0);
 }
 
+TEST(McuModel, BundleLargerThanTheBufferIsNonTerminating)
+{
+    // One 100 uJ bundle against the ~23 uJ default window: no burst
+    // can commit it, and the run dies at the burst loop's one
+    // non-termination check.
+    mcu::McuProgram prog;
+    mcu::McuBlock block;
+    block.count = 3;
+    block.per.energy = 100e-6;
+    block.per.seconds = 1e-3;
+    prog.blocks = {block};
+    prog.blockStart = {0, 3};
+    prog.totalOps = 3;
+    prog.totalEnergy = 3 * block.per.energy;
+    prog.totalSeconds = 3 * block.per.seconds;
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(60e-6);
+    const auto bec = mcu::makeEhScheme("bec");
+    EXPECT_EXIT(mcu::mcuRunHarvested(prog, *bec, harvest),
+                ::testing::ExitedWithCode(1), "non-termination");
+}
+
+TEST(McuModel, TelemetryNeverChangesRunStats)
+{
+    const mcu::McuProgram prog = gatesProgram();
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::square(1e-4, 0.3, 1e-6);
+    harvest.capacitanceOverride = 10e-9;
+    for (const std::string &name : mcu::ehSchemeNames()) {
+        const auto scheme = mcu::makeEhScheme(name);
+        obs::Telemetry on = obs::Telemetry::make(
+            {.stats = true, .events = true, .waveform = true});
+        const RunStats plain =
+            mcu::mcuRunHarvested(prog, *scheme, harvest);
+        const RunStats traced =
+            mcu::mcuRunHarvested(prog, *scheme, harvest, &on);
+        EXPECT_GT(plain.outages, 0u) << name;
+        EXPECT_EQ(toJson(traced), toJson(plain)) << name;
+        EXPECT_EQ(on.stats->findCounter("sim.outage.count")->value(),
+                  plain.outages)
+            << name;
+        EXPECT_FALSE(on.sink->events().empty()) << name;
+
+        obs::Telemetry cont = obs::Telemetry::make({.stats = true});
+        EXPECT_EQ(toJson(mcu::mcuRunContinuous(prog, *scheme, &cont)),
+                  toJson(mcu::mcuRunContinuous(prog, *scheme)))
+            << name;
+    }
+}
+
 // -- Fault-injection conformance ------------------------------------
 
 TEST(McuCampaign, ExactResumeSchemesNeverReplay)
@@ -397,6 +450,32 @@ TEST(Runner, SystemDispatchIsByteIdenticalAcrossThreadCounts)
               one.points[0].stats.totalEnergy() * 10);
 }
 
+TEST(Runner, McuSweepTelemetryFoldsIdenticallyAtAnyThreadCount)
+{
+    exp::SweepGrid grid = schemeGrid();
+    grid.seedsPerPoint = 1;
+    grid.schemes = {"mcu:bec", "mcu:odab", "mcu:clank", "mcu:oracle"};
+    grid.sources = {SourceSpec::constant(60e-6),
+                    SourceSpec::square(0.01, 0.3, 200e-6)};
+    grid.powers.clear();
+    grid.platforms = {"mementos"};
+    grid.telemetry.stats = true;
+
+    const exp::SweepResult one = exp::ExperimentRunner(1).run(grid);
+    const exp::SweepResult four = exp::ExperimentRunner(4).run(grid);
+    ASSERT_TRUE(one.stats && four.stats);
+    EXPECT_EQ(one.stats->toJson(), four.stats->toJson());
+    std::uint64_t outages = 0;
+    for (const RunResult &r : one.points) {
+        ASSERT_TRUE(r.ok());
+        ASSERT_TRUE(r.statsTree) << r.meta.scheme;
+        outages += r.stats.outages;
+    }
+    EXPECT_GT(outages, 0u);
+    EXPECT_EQ(one.stats->findCounter("sim.outage.count")->value(),
+              outages);
+}
+
 // -- The run API path -----------------------------------------------
 
 MouseConfig
@@ -464,6 +543,82 @@ TEST(RunApi, DefaultRequestsReportTheMouseSystem)
     EXPECT_TRUE(res.meta.scheme.empty());
     EXPECT_NE(res.toJson().find("\"system\":\"mouse\""),
               std::string::npos);
+}
+
+TEST(RunApi, McuTelemetryTreeMatchesItsRunStats)
+{
+    Accelerator acc(smallConfig());
+    acc.loadProgram(adderProgram(acc));
+    HarvestConfig harvest;
+    harvest.source = SourceSpec::constant(100e-6);
+    harvest.capacitanceOverride = 10e-9;
+    const RunRequest req = RunRequestBuilder()
+                               .harvested(harvest)
+                               .baselineScheme("mcu:bec")
+                               .telemetry({.stats = true})
+                               .build();
+    const RunResult res = acc.execute(req);
+    ASSERT_TRUE(res.ok());
+    ASSERT_TRUE(res.statsTree);
+    EXPECT_GT(res.stats.outages, 0u);
+    EXPECT_EQ(res.statsTree->findCounter("sim.outage.count")->value(),
+              res.stats.outages);
+    EXPECT_EQ(res.statsTree->findCounter("sim.instr.dead")->value(),
+              res.stats.instructionsDead);
+    EXPECT_EQ(res.statsTree->findCounter("sim.instr.committed")->value(),
+              res.stats.instructionsCommitted);
+}
+
+TEST(RunApi, InvalidConverterEfficiencyIsATypedErrorOnBothSystems)
+{
+    Accelerator acc(smallConfig());
+    acc.loadProgram(adderProgram(acc));
+    for (const char *system : {"mouse", "mcu:bec"}) {
+        for (const double eff :
+             {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+            // build() refuses invalid requests, so break it after.
+            RunRequest req = RunRequestBuilder()
+                                 .harvested(HarvestConfig{})
+                                 .baselineScheme(system)
+                                 .build();
+            req.harvest.converterEfficiency = eff;
+            EXPECT_EQ(validateRunRequest(req),
+                      RunError::kHarvestConverterInvalid)
+                << system << " " << eff;
+            const RunResult res = acc.execute(req);
+            EXPECT_EQ(res.error, RunError::kHarvestConverterInvalid)
+                << system << " " << eff;
+            EXPECT_EQ(res.stats.instructionsCommitted, 0u);
+        }
+        // The boundary is inclusive: a lossless converter runs.
+        HarvestConfig lossless;
+        lossless.converterEfficiency = 1.0;
+        lossless.capacitanceOverride = 10e-9;
+        EXPECT_TRUE(acc.execute(RunRequestBuilder()
+                                    .harvested(lossless)
+                                    .baselineScheme(system)
+                                    .build())
+                        .ok())
+            << system;
+    }
+    EXPECT_STREQ(runErrorName(RunError::kHarvestConverterInvalid),
+                 "harvest_converter_invalid");
+}
+
+TEST(RunApi, FunctionalRunWithoutAProgramIsATypedErrorOnBothSystems)
+{
+    Accelerator acc(smallConfig());
+    for (const char *system : {"mouse", "mcu:bec"}) {
+        const RunResult res =
+            acc.execute(RunRequestBuilder().baselineScheme(system).build());
+        EXPECT_EQ(res.error, RunError::kProgramMissing) << system;
+        EXPECT_FALSE(res.meta.tech.empty());
+    }
+    EXPECT_STREQ(runErrorName(RunError::kProgramMissing),
+                 "program_missing");
+    // Loading a program clears the verdict.
+    acc.loadProgram(adderProgram(acc));
+    EXPECT_TRUE(acc.execute(RunRequest{}).ok());
 }
 
 } // namespace

@@ -440,7 +440,7 @@ TEST(RunApi, ServeJsonBlockIsSchemaV6)
     // mouse-lint: allow(schema-constants) -- golden pin: the test
     // hardcodes the published version on purpose, so an accidental
     // bump of the central constant fails here.
-    EXPECT_NE(direct.toJson().find("\"schema\":7"),
+    EXPECT_NE(direct.toJson().find("\"schema\":8"),
               std::string::npos);
     EXPECT_EQ(direct.toJson().find("\"serve\":"),
               std::string::npos);
