@@ -13,10 +13,10 @@
  *   nvp          4.7 uF / 3.3 V ceramic, 90% on-chip boost
  *   batteryless  10 uF / 7.5 V sensing node, 70% discrete buck
  *
- * A named platform replaces the technology's default buffer
- * capacitance (HarvestConfig::capacitanceOverride still wins) and
- * derates the configured converter efficiency by the platform's
- * front-end efficiency.
+ * A named platform replaces the system's default buffer capacitance
+ * (HarvestConfig::capacitanceOverride still wins), and its front-end
+ * efficiency derates the source; HarvestConfig::converterEfficiency
+ * derates the load.
  */
 
 #ifndef MOUSE_HARVEST_PLATFORM_HH
