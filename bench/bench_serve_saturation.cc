@@ -10,10 +10,15 @@
  * load saturates a full gate pass, throughput plateaus at the
  * word-parallel packing limit.
  *
- * The report is google-benchmark-shaped JSON ({"benchmarks":[{"name",
- * "items_per_second",...}]}) so tools/check_bench_regression.py can
- * gate it against bench/baselines/BENCH_serve_saturation.json and
- * against the absolute 1e5 classifications/sec acceptance floor.
+ * Each load point is the median of kRepetitions drains of the same
+ * seeded requests: one drain swung by about 30 % from run to run.
+ *
+ * The report is google-benchmark-shaped JSON ({"context":{...},
+ * "benchmarks":[{"name","items_per_second",...}]}) so
+ * tools/check_bench_regression.py can gate it against
+ * bench/baselines/BENCH_serve_saturation.json and against the
+ * absolute 1e5 classifications/sec acceptance floor.  The context
+ * records the CPU count and the build type, like bench_sim_throughput.
  *
  * Usage:
  *   bench_serve_saturation [--json-out FILE] [--workers N]
@@ -25,6 +30,7 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
@@ -35,6 +41,9 @@ namespace
 {
 
 using namespace mouse;
+
+/** Drains measured per load point; the report holds their median. */
+constexpr unsigned kRepetitions = 5;
 
 struct LoadPoint
 {
@@ -120,6 +129,32 @@ measurePoint(serve::InferenceService &svc, const std::string &mix,
     return p;
 }
 
+/** The median of kRepetitions drains of @p n requests: each host
+ *  quantity is its own median (the simulated ones never vary). */
+LoadPoint
+medianPoint(serve::InferenceService &svc, const std::string &mix,
+            serve::ModelId bnn, serve::ModelId svm, std::size_t n,
+            std::uint64_t seed)
+{
+    std::vector<LoadPoint> reps;
+    for (unsigned r = 0; r < kRepetitions; ++r) {
+        reps.push_back(measurePoint(svc, mix, bnn, svm, n, seed));
+    }
+    const auto median = [&reps](double LoadPoint::*field) {
+        std::vector<double> v;
+        for (const LoadPoint &p : reps) {
+            v.push_back(p.*field);
+        }
+        return percentileOf(std::move(v), 0.5);
+    };
+    LoadPoint p = reps.front();
+    p.drainSeconds = median(&LoadPoint::drainSeconds);
+    p.itemsPerSecond = median(&LoadPoint::itemsPerSecond);
+    p.p50 = median(&LoadPoint::p50);
+    p.p99 = median(&LoadPoint::p99);
+    return p;
+}
+
 std::string
 num(double v)
 {
@@ -141,7 +176,12 @@ toJson(const std::vector<LoadPoint> &points, unsigned workers)
     std::string j = "{\"context\":{";
     j += "\"date\":\"" + std::string(date) + "\"";
     j += ",\"executable\":\"bench_serve_saturation\"";
+    j += ",\"num_cpus\":" +
+         std::to_string(std::thread::hardware_concurrency());
+    j += ",\"mouse_build_type\":\"" MOUSE_BUILD_TYPE "\"";
     j += ",\"workers\":" + std::to_string(workers);
+    j += ",\"repetitions\":" + std::to_string(kRepetitions);
+    j += ",\"aggregate\":\"median\"";
     j += "},\"benchmarks\":[";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const LoadPoint &p = points[i];
@@ -208,13 +248,11 @@ main(int argc, char **argv)
         }
         const std::size_t loads[] = {64, 512, 4096};
         for (std::size_t n : loads) {
-            points.push_back(
-                measurePoint(svc, mix, bnn, svm, n, 7 + n));
+            points.push_back(medianPoint(svc, mix, bnn, svm, n, 7 + n));
         }
         if (std::strcmp(mix, "bnn") == 0) {
             // Headline saturated point for the regression gate.
-            points.push_back(
-                measurePoint(svc, mix, bnn, svm, 16384, 7));
+            points.push_back(medianPoint(svc, mix, bnn, svm, 16384, 7));
             // The same load with live observability on (metrics hub
             // + request spans), so the telemetry tax stays visible
             // next to the zero-cost off path the gate protects.
@@ -222,7 +260,7 @@ main(int argc, char **argv)
             svc.setMetrics(&hub);
             svc.setTracing(true);
             points.push_back(
-                measurePoint(svc, "bnn_obs", bnn, svm, 4096, 7));
+                medianPoint(svc, "bnn_obs", bnn, svm, 4096, 7));
             svc.setMetrics(nullptr);
             svc.setTracing(false);
         }

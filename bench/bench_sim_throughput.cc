@@ -5,7 +5,8 @@
  * and presets), the controller step loop of a serving program,
  * trace-level simulation throughput, and the parallel experiment
  * engine's points/sec on the full Figure-9 grid (serial vs N
- * threads).  These guard against performance regressions that would
+ * threads), and the serving layer's per-batch pack and weight
+ * deploy.  These guard against performance regressions that would
  * make the Figure 9 sweeps impractical.
  */
 
@@ -133,23 +134,85 @@ BM_TilePresetRow(benchmark::State &state)
 }
 BENCHMARK(BM_TilePresetRow)->Arg(4)->Arg(1024);
 
-/**
- * The controller step loop over the demo SVM serving program,
- * compiled and deployed as the serving layer does it (the serve
- * engine geometry of bench_serve_saturation), with every slot
- * holding a seeded random request.  Items are controller steps.
- */
-void
-BM_ControllerStepServeSvm(benchmark::State &state)
+/** The serve engine geometry of bench_serve_saturation. */
+ArrayConfig
+serveArray()
 {
     ArrayConfig cfg;
     cfg.tileRows = 512;
     cfg.tileCols = 1024;
     cfg.numDataTiles = 1;
     cfg.numInstructionTiles = 4096;
+    return cfg;
+}
+
+/** The demo BNN (@p bnn) or SVM compiled for serveArray(). */
+serve::PackedModel
+demoModel(const GateLibrary &lib, bool bnn)
+{
+    return bnn ? serve::PackedModel::compileBnn(lib, serveArray(), 0,
+                                                serve::demoBnn(1))
+               : serve::PackedModel::compileSvm(lib, serveArray(), 0,
+                                                serve::demoSvm(2));
+}
+
+/** Pack a full batch of the demo model: a seeded random request in
+ *  every slot.  Items are packed requests. */
+void
+BM_ServePack(benchmark::State &state, bool bnn)
+{
     const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
-    const serve::PackedModel model = serve::PackedModel::compileSvm(
-        lib, cfg, 0, serve::demoSvm(2));
+    const serve::PackedModel model = demoModel(lib, bnn);
+    TileGrid grid(serveArray(), lib);
+    model.deployWeights(grid);
+    Rng rng(1);
+    std::vector<serve::Input> inputs;
+    for (unsigned s = 0; s < model.slots(); ++s) {
+        inputs.push_back(serve::randomInput(rng, model));
+    }
+    for (auto _ : state) {
+        for (unsigned s = 0; s < model.slots(); ++s) {
+            model.packInput(grid, s, inputs[s]);
+        }
+        benchmark::DoNotOptimize(&grid);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * model.slots());
+}
+BENCHMARK_CAPTURE(BM_ServePack, bnn, true)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServePack, svm, false)->Unit(benchmark::kMicrosecond);
+
+/** Deploy the demo model's weights into every slot, as an engine
+ *  does on a model switch.  Items are deploys. */
+void
+BM_ServeDeploy(benchmark::State &state, bool bnn)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    const serve::PackedModel model = demoModel(lib, bnn);
+    TileGrid grid(serveArray(), lib);
+    for (auto _ : state) {
+        model.deployWeights(grid);
+        benchmark::DoNotOptimize(&grid);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ServeDeploy, bnn, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServeDeploy, svm, false)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The controller step loop over the demo SVM serving program,
+ * compiled and deployed as the serving layer does it, with every
+ * slot holding a seeded random request.  Items are controller steps.
+ */
+void
+BM_ControllerStepServeSvm(benchmark::State &state)
+{
+    const ArrayConfig cfg = serveArray();
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    const serve::PackedModel model = demoModel(lib, false);
     const EnergyModel energy(lib);
     TileGrid grid(cfg, lib);
     InstructionMemory imem(cfg);

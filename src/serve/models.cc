@@ -1,5 +1,7 @@
 #include "models.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "compile/builder.hh"
 #include "ml/mapping.hh"
@@ -48,6 +50,8 @@ PackedModel::compileBnn(const GateLibrary &lib, const ArrayConfig &cfg,
     // Interleaved even-row layout (see buildSmallBnnNeuronKernel):
     // weight bit i at 4i, input bit i at 4i+2; thresholds on the odd
     // bitline above the data.
+    pm.inputBase_ = 2;
+    pm.inputStride_ = 4;
     pm.threshBits_ = 1;
     while ((1u << pm.threshBits_) <= k) {
         ++pm.threshBits_;
@@ -60,7 +64,7 @@ PackedModel::compileBnn(const GateLibrary &lib, const ArrayConfig &cfg,
                 static_cast<ColAddr>(pm.slots_ * classes - 1));
     Word count;
     Val fires{};
-    buildSmallBnnNeuronKernel(kb, /*w_base=*/0, /*x_base=*/2,
+    buildSmallBnnNeuronKernel(kb, /*w_base=*/0, pm.inputBase_,
                               threshBase, k, count, fires);
     pm.program_ = kb.finish();
     pm.countRows_ = rowsOf(count);
@@ -98,14 +102,15 @@ PackedModel::compileSvm(const GateLibrary &lib, const ArrayConfig &cfg,
     // buildSmallSvmKernel layout: element e bit b of the support
     // vector at sv_base + e*2*inputBits + 2b, of the input likewise
     // above the support vectors.
-    pm.xBase_ =
+    pm.inputBase_ =
         static_cast<RowAddr>(m.dim * 2 * m.inputBits);
+    pm.inputStride_ = 2 * m.inputBits;
     const unsigned firstFree = 2 * m.dim * 2 * m.inputBits + 8;
 
     KernelBuilder kb(lib, cfg, 0, firstFree);
     kb.activate(0, static_cast<ColAddr>(pm.slots_ * svs - 1));
     Word square;
-    buildSmallSvmKernel(kb, /*sv_rows=*/0, pm.xBase_, m.dim,
+    buildSmallSvmKernel(kb, /*sv_rows=*/0, pm.inputBase_, m.dim,
                         m.inputBits, m.accBits, square);
     pm.program_ = kb.finish();
     pm.squareRows_ = rowsOf(square);
@@ -118,36 +123,75 @@ void
 PackedModel::deployWeights(TileGrid &grid) const
 {
     Tile &tile = grid.tile(0);
-    for (unsigned s = 0; s < slots_; ++s) {
+    const unsigned words = (tile.numCols() + 63) / 64;
+    // unitCols[u]: the columns holding unit u (class or support
+    // vector) of every slot.  A weight row is the union of the masks
+    // of the units whose bit is set, written as whole words.
+    std::vector<std::uint64_t> unitCols(
+        static_cast<std::size_t>(colsPerRequest_) * words, 0);
+    std::vector<std::uint64_t> slotCols(words, 0);
+    for (unsigned col = 0; col < slots_ * colsPerRequest_; ++col) {
+        const std::uint64_t b = 1ULL << (col & 63);
+        unitCols[(col % colsPerRequest_) * words + (col >> 6)] |= b;
+        slotCols[col >> 6] |= b;
+    }
+    std::vector<std::uint64_t> row(words);
+    const auto writeRow = [&](RowAddr r, auto &&unitBit) {
+        std::fill(row.begin(), row.end(), 0);
         for (unsigned u = 0; u < colsPerRequest_; ++u) {
-            const ColAddr col =
-                static_cast<ColAddr>(s * colsPerRequest_ + u);
-            if (kind_ == Kind::kBnn) {
-                for (unsigned i = 0; i < layer_.inputs; ++i) {
-                    tile.setBit(static_cast<RowAddr>(4 * i), col,
-                                layer_.weights[u][i]);
-                }
-                const RowAddr threshBase =
-                    static_cast<RowAddr>(4 * layer_.inputs + 1);
-                for (unsigned b = 0; b < threshBits_; ++b) {
-                    tile.setBit(
-                        static_cast<RowAddr>(threshBase + 2 * b),
-                        col,
-                        static_cast<Bit>(
-                            (layer_.thresholds[u] >> b) & 1));
-                }
-            } else {
-                const Features &sv = svm_.supportVectors[u];
-                for (std::size_t e = 0; e < sv.size(); ++e) {
-                    for (unsigned b = 0; b < inputBits_; ++b) {
-                        tile.setBit(
-                            static_cast<RowAddr>(e * 2 * inputBits_ +
-                                                 2 * b),
-                            col,
-                            static_cast<Bit>((sv[e] >> b) & 1));
-                    }
+            if (unitBit(u)) {
+                for (unsigned w = 0; w < words; ++w) {
+                    row[w] |= unitCols[u * words + w];
                 }
             }
+        }
+        tile.setRowWords(r, row, slotCols);
+    };
+    if (kind_ == Kind::kBnn) {
+        for (unsigned i = 0; i < layer_.inputs; ++i) {
+            writeRow(static_cast<RowAddr>(4 * i), [&](unsigned u) {
+                return layer_.weights[u][i] != 0;
+            });
+        }
+        const RowAddr threshBase =
+            static_cast<RowAddr>(4 * layer_.inputs + 1);
+        for (unsigned b = 0; b < threshBits_; ++b) {
+            writeRow(static_cast<RowAddr>(threshBase + 2 * b),
+                     [&](unsigned u) {
+                         return ((layer_.thresholds[u] >> b) & 1) != 0;
+                     });
+        }
+    } else {
+        for (std::size_t e = 0; e < inputSize_; ++e) {
+            for (unsigned b = 0; b < inputBits_; ++b) {
+                writeRow(
+                    static_cast<RowAddr>(e * 2 * inputBits_ + 2 * b),
+                    [&](unsigned u) {
+                        return ((svm_.supportVectors[u][e] >> b) & 1) !=
+                               0;
+                    });
+            }
+        }
+    }
+}
+
+template <typename BitOf>
+void
+PackedModel::fillInputRows(TileGrid &grid, unsigned slot,
+                           BitOf &&bitOf) const
+{
+    // Every column of the slot carries the same payload, so each
+    // input row is one word-masked write across the slot.
+    Tile &tile = grid.tile(0);
+    const auto lo = static_cast<ColAddr>(slot * colsPerRequest_);
+    const auto hi = static_cast<ColAddr>(lo + colsPerRequest_ - 1);
+    const unsigned bits = elementBits();
+    for (std::size_t e = 0; e < inputSize_; ++e) {
+        const auto row =
+            static_cast<RowAddr>(inputBase_ + e * inputStride_);
+        for (unsigned b = 0; b < bits; ++b) {
+            tile.fillColumns(static_cast<RowAddr>(row + 2 * b), lo, hi,
+                             bitOf(e, b));
         }
     }
 }
@@ -158,35 +202,17 @@ PackedModel::packInput(TileGrid &grid, unsigned slot,
 {
     mouse_assert(slot < slots_, "packInput slot out of range");
     mouse_assert(validInput(in), "malformed request payload");
-    Tile &tile = grid.tile(0);
-    for (unsigned u = 0; u < colsPerRequest_; ++u) {
-        const ColAddr col =
-            static_cast<ColAddr>(slot * colsPerRequest_ + u);
-        if (kind_ == Kind::kBnn) {
-            for (std::size_t i = 0; i < in.size(); ++i) {
-                tile.setBit(static_cast<RowAddr>(4 * i + 2), col,
-                            static_cast<Bit>(in[i] & 1));
-            }
-        } else {
-            for (std::size_t e = 0; e < in.size(); ++e) {
-                for (unsigned b = 0; b < inputBits_; ++b) {
-                    tile.setBit(
-                        static_cast<RowAddr>(xBase_ +
-                                             e * 2 * inputBits_ +
-                                             2 * b),
-                        col, static_cast<Bit>((in[e] >> b) & 1));
-                }
-            }
-        }
-    }
+    fillInputRows(grid, slot, [&in](std::size_t e, unsigned b) {
+        return static_cast<Bit>((in[e] >> b) & 1);
+    });
 }
 
 void
 PackedModel::clearInput(TileGrid &grid, unsigned slot) const
 {
-    // Reuse the packing path with an all-zero payload.
-    const Input zeros(inputSize_, 0);
-    packInput(grid, slot, zeros);
+    mouse_assert(slot < slots_, "clearInput slot out of range");
+    fillInputRows(grid, slot,
+                  [](std::size_t, unsigned) { return Bit{0}; });
 }
 
 int

@@ -101,12 +101,13 @@ class PackedModel
         return kind_ == Kind::kBnn ? 1 : inputBits_;
     }
 
-    /** Write the replicated weights/thresholds into every slot.
-     *  Once per engine (per model switch); inputs are packed per
-     *  batch. */
+    /** Write the replicated weights/thresholds into every slot,
+     *  each row as whole words.  Once per model switch of an engine;
+     *  inputs are packed per batch. */
     void deployWeights(TileGrid &grid) const;
 
-    /** Pack one request's payload into slot @p slot. */
+    /** Pack one request's payload into slot @p slot: each input row
+     *  is one word-masked write across the slot's columns. */
     void packInput(TileGrid &grid, unsigned slot,
                    const Input &in) const;
 
@@ -131,6 +132,12 @@ class PackedModel
 
     PackedModel() = default;
 
+    /** Write bitOf(e, b) into the row of bit b of payload element
+     *  e, across every column of slot @p slot. */
+    template <typename BitOf>
+    void fillInputRows(TileGrid &grid, unsigned slot,
+                       BitOf &&bitOf) const;
+
     ModelId id_ = 0;
     std::string name_;
     Kind kind_ = Kind::kBnn;
@@ -138,6 +145,10 @@ class PackedModel
     unsigned colsPerRequest_ = 0;
     unsigned slots_ = 0;
     std::size_t inputSize_ = 0;
+    /** Payload element e bit b sits at row
+     *  inputBase_ + e*inputStride_ + 2b. */
+    RowAddr inputBase_ = 0;
+    unsigned inputStride_ = 0;
 
     // BNN layout/readback.
     BnnLayer layer_;
@@ -147,7 +158,6 @@ class PackedModel
     // SVM layout/readback.
     BinarySvm svm_;
     unsigned inputBits_ = 0;
-    RowAddr xBase_ = 0;
     std::vector<RowAddr> squareRows_;
 };
 

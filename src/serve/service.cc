@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <deque>
 #include <thread>
 
 #include "common/logging.hh"
@@ -168,6 +169,7 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
             ? hostSince(std::chrono::steady_clock::now())
             : 0.0;
     if (eng.loaded != static_cast<std::int64_t>(batch.model)) {
+        programLoads_.fetch_add(1, std::memory_order_relaxed);
         eng.acc.loadProgram(m.program());
         m.deployWeights(eng.acc.grid());
         eng.loaded = static_cast<std::int64_t>(batch.model);
@@ -312,24 +314,53 @@ InferenceService::drain()
     }
     const unsigned nThreads = static_cast<unsigned>(
         std::min<std::size_t>(cfg_.workers, count));
-    // Engines claim batches from a shared cursor; every written cell
-    // (records_[batch.id], results_[req.id]) is distinct per batch,
-    // so the fan-out needs no locks, and determinism is untouched
-    // because identical engines compute identical records for a
-    // batch regardless of which one claims it.
-    std::atomic<std::size_t> next{first};
+    // Engines claim batches from per-model queues of batch indices:
+    // the oldest batch of the model an engine has deployed, else the
+    // oldest batch left, so weights are redeployed only on a model
+    // switch and no engine idles while work remains.  Every written
+    // cell (records_[batch.id], results_[req.id]) is distinct per
+    // batch, and identical engines compute identical records for a
+    // batch whichever one claims it, so the claiming order never
+    // reaches results, stats() or reportJson().
+    std::mutex claimMutex;
+    std::vector<std::deque<std::size_t>> queued(models_.size());
+    for (std::size_t i = first; i < ready_.size(); ++i) {
+        queued[ready_[i].model].push_back(i);
+    }
+    const auto claim = [&](const Engine &eng) {
+        const std::lock_guard<std::mutex> lock(claimMutex);
+        const std::size_t none = models_.size();
+        std::size_t pick = none;
+        if (eng.loaded >= 0 && !queued[eng.loaded].empty()) {
+            pick = static_cast<std::size_t>(eng.loaded);
+        } else {
+            for (std::size_t m = 0; m < models_.size(); ++m) {
+                if (!queued[m].empty() &&
+                    (pick == none ||
+                     queued[m].front() < queued[pick].front())) {
+                    pick = m;
+                }
+            }
+        }
+        if (pick == none) {
+            return ready_.size();
+        }
+        const std::size_t i = queued[pick].front();
+        queued[pick].pop_front();
+        return i;
+    };
     std::atomic<std::size_t> done{0};
     auto work = [&](unsigned engineIdx) {
         if (metrics_ != nullptr) {
             metrics_->workerActive(+1);
         }
+        Engine &eng = *engines_[engineIdx];
         for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
+            const std::size_t i = claim(eng);
             if (i >= ready_.size()) {
                 break;
             }
-            runBatch(*engines_[engineIdx], engineIdx, ready_[i]);
+            runBatch(eng, engineIdx, ready_[i]);
             const std::size_t n =
                 done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (progress_) {

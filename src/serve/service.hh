@@ -36,6 +36,7 @@
 #ifndef MOUSE_SERVE_SERVICE_HH
 #define MOUSE_SERVE_SERVICE_HH
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -125,7 +126,9 @@ class InferenceService
 
     /**
      * Flush, then execute every ready batch across the engine pool
-     * (cfg.workers threads, engines created on first use).  Returns
+     * (cfg.workers threads, engines created on first use).  An
+     * engine claims the oldest batch of the model it has deployed,
+     * and the oldest batch left when that model has none.  Returns
      * the host wall seconds the drain took.
      */
     double drain();
@@ -136,6 +139,17 @@ class InferenceService
     std::size_t completed() const { return completedRequests_; }
     /** Batches executed over the service lifetime. */
     std::size_t batchesRun() const { return runCursor_; }
+
+    /**
+     * Program loads (with their weight deploys) across all engines
+     * over the service lifetime.  It depends on which engine claims
+     * which batch, so it stays out of stats() and reportJson().
+     */
+    std::size_t
+    programLoads() const
+    {
+        return programLoads_.load(std::memory_order_relaxed);
+    }
 
     /** Result of a completed request.  @p id must be completed. */
     const ClassifyResult &result(RequestId id) const;
@@ -259,6 +273,8 @@ class InferenceService
     RequestId nextRequest_ = 0;
     std::size_t completedRequests_ = 0;
     double drainSeconds_ = 0.0;
+    /** Incremented by whichever worker loads a program. */
+    std::atomic<std::size_t> programLoads_{0};
 
     // Observability (never read by the deterministic paths).
     std::chrono::steady_clock::time_point epoch_;

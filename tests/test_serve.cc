@@ -12,9 +12,16 @@
  *     byte-identical for any worker count, and every deterministic
  *     per-request field (prediction, batch metadata, simulated
  *     latency and energy) is too.
+ *
+ * Also: the word-wide weight deploy and slot packing leave the tile
+ * byte-identical to a per-bit reference, and engines that claim
+ * batches by model keep every deterministic output unchanged while
+ * loading each model at most once per drain on one engine.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "common/rng.hh"
 #include "serve/service.hh"
@@ -45,16 +52,15 @@ smallConfig(unsigned workers, unsigned max_batch = 0)
 }
 
 BnnServeModel
-randomBnn(Rng &rng)
+randomBnn(Rng &rng, unsigned classes = kBnnClasses)
 {
     BnnServeModel m;
-    m.name = "bnn4";
+    m.name = "bnn" + std::to_string(classes);
     m.layer.inputs = kBnnInputs;
-    m.layer.outputs = kBnnClasses;
-    m.layer.weights.assign(kBnnClasses,
-                           std::vector<Bit>(kBnnInputs));
-    m.layer.thresholds.resize(kBnnClasses);
-    for (unsigned c = 0; c < kBnnClasses; ++c) {
+    m.layer.outputs = classes;
+    m.layer.weights.assign(classes, std::vector<Bit>(kBnnInputs));
+    m.layer.thresholds.resize(classes);
+    for (unsigned c = 0; c < classes; ++c) {
         for (unsigned i = 0; i < kBnnInputs; ++i) {
             m.layer.weights[c][i] = static_cast<Bit>(rng.below(2));
         }
@@ -65,16 +71,16 @@ randomBnn(Rng &rng)
 }
 
 SvmServeModel
-randomSvm(Rng &rng)
+randomSvm(Rng &rng, unsigned svs = kSvmSvs)
 {
     SvmServeModel m;
     m.name = "svm2";
     m.dim = kSvmDim;
     m.inputBits = kSvmInputBits;
     m.accBits = 12;
-    m.svm.supportVectors.assign(kSvmSvs, Features(kSvmDim));
-    m.svm.coefficients.resize(kSvmSvs);
-    for (unsigned s = 0; s < kSvmSvs; ++s) {
+    m.svm.supportVectors.assign(svs, Features(kSvmDim));
+    m.svm.coefficients.resize(svs);
+    for (unsigned s = 0; s < svs; ++s) {
         for (unsigned e = 0; e < kSvmDim; ++e) {
             m.svm.supportVectors[s][e] =
                 static_cast<std::uint8_t>(rng.below(16));
@@ -462,6 +468,257 @@ TEST(Serve, HarvestedServingAttributesOutageStalls)
     }
     again.drain();
     EXPECT_EQ(svc.stats()->toJson(), again.stats()->toJson());
+}
+
+// -- Word-wide pack and deploy against a per-bit reference ----------
+//
+// The reference writes the documented slot layout one setBit() per
+// bit and column: BNN weight bit i at row 4i, input bit i at 4i+2 and
+// threshold bit b at 4k+1+2b; SVM support-vector element e bit b at
+// e*2*inputBits+2b and the input's likewise above the support vectors.
+
+ArrayConfig
+packConfig(unsigned cols)
+{
+    ArrayConfig cfg = smallConfig(1).engine.array;
+    cfg.tileCols = cols;
+    return cfg;
+}
+
+/** A grid whose data tile holds seeded noise in every row and
+ *  column, so a write outside the slots would show. */
+std::unique_ptr<TileGrid>
+noisyGrid(const ArrayConfig &cfg, const GateLibrary &lib)
+{
+    auto grid = std::make_unique<TileGrid>(cfg, lib);
+    Rng rng(404);
+    Tile &t = grid->tile(0);
+    for (RowAddr r = 0; r < t.numRows(); ++r) {
+        for (ColAddr c = 0; c < t.numCols(); ++c) {
+            t.setBit(r, c, static_cast<Bit>(rng.below(2)));
+        }
+    }
+    return grid;
+}
+
+unsigned
+thresholdBits(unsigned inputs)
+{
+    unsigned bits = 1;
+    while ((1u << bits) <= inputs) {
+        ++bits;
+    }
+    return bits;
+}
+
+void
+refDeployBnn(Tile &t, const PackedModel &pm, const BnnServeModel &m)
+{
+    const unsigned k = m.layer.inputs;
+    for (unsigned s = 0; s < pm.slots(); ++s) {
+        for (unsigned u = 0; u < pm.colsPerRequest(); ++u) {
+            const auto col =
+                static_cast<ColAddr>(s * pm.colsPerRequest() + u);
+            for (unsigned i = 0; i < k; ++i) {
+                t.setBit(static_cast<RowAddr>(4 * i), col,
+                         m.layer.weights[u][i]);
+            }
+            for (unsigned b = 0; b < thresholdBits(k); ++b) {
+                t.setBit(static_cast<RowAddr>(4 * k + 1 + 2 * b), col,
+                         static_cast<Bit>(
+                             (m.layer.thresholds[u] >> b) & 1));
+            }
+        }
+    }
+}
+
+void
+refDeploySvm(Tile &t, const PackedModel &pm, const SvmServeModel &m)
+{
+    for (unsigned s = 0; s < pm.slots(); ++s) {
+        for (unsigned u = 0; u < pm.colsPerRequest(); ++u) {
+            const auto col =
+                static_cast<ColAddr>(s * pm.colsPerRequest() + u);
+            for (unsigned e = 0; e < m.dim; ++e) {
+                for (unsigned b = 0; b < m.inputBits; ++b) {
+                    t.setBit(
+                        static_cast<RowAddr>(e * 2 * m.inputBits + 2 * b),
+                        col,
+                        static_cast<Bit>(
+                            (m.svm.supportVectors[u][e] >> b) & 1));
+                }
+            }
+        }
+    }
+}
+
+/** Per-bit packInput; @p xBase is 0 for BNN rows (input i at 4i+2). */
+void
+refPack(Tile &t, const PackedModel &pm, unsigned slot, const Input &in,
+        bool bnn, unsigned xBase)
+{
+    for (unsigned u = 0; u < pm.colsPerRequest(); ++u) {
+        const auto col =
+            static_cast<ColAddr>(slot * pm.colsPerRequest() + u);
+        for (std::size_t e = 0; e < in.size(); ++e) {
+            for (unsigned b = 0; b < pm.elementBits(); ++b) {
+                const auto row = static_cast<RowAddr>(
+                    bnn ? 4 * e + 2
+                        : xBase + e * 2 * pm.elementBits() + 2 * b);
+                t.setBit(row, col, static_cast<Bit>((in[e] >> b) & 1));
+            }
+        }
+    }
+}
+
+/** Deploy, pack every slot, then clear every third slot, on a word
+ *  grid and a per-bit reference grid; the tiles must agree after
+ *  each step. */
+void
+expectPackDeployMatchesReference(const PackedModel &pm,
+                                 const ArrayConfig &cfg,
+                                 const GateLibrary &lib,
+                                 const std::function<void(Tile &)> &ref,
+                                 bool bnn, unsigned xBase)
+{
+    auto fast = noisyGrid(cfg, lib);
+    auto slow = noisyGrid(cfg, lib);
+    Tile &ft = fast->tile(0);
+    Tile &st = slow->tile(0);
+
+    pm.deployWeights(*fast);
+    ref(st);
+    ASSERT_EQ(ft.snapshot(), st.snapshot()) << "deployWeights";
+
+    Rng rng(77);
+    for (unsigned s = 0; s < pm.slots(); ++s) {
+        const Input in = randomInput(rng, pm, pm.elementBits());
+        pm.packInput(*fast, s, in);
+        refPack(st, pm, s, in, bnn, xBase);
+    }
+    ASSERT_EQ(ft.snapshot(), st.snapshot()) << "packInput";
+
+    for (unsigned s = 0; s < pm.slots(); s += 3) {
+        pm.clearInput(*fast, s);
+        refPack(st, pm, s, Input(pm.inputSize(), 0), bnn, xBase);
+    }
+    ASSERT_EQ(ft.snapshot(), st.snapshot()) << "clearInput";
+}
+
+TEST(ServePacking, BnnWordWritesMatchPerBitReference)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    Rng modelRng(61);
+    // 5 classes: slots straddle 64-column words.  200 columns is not
+    // a multiple of 64 and leaves a 0-column tail (40 slots end at
+    // the tile edge); 203 leaves 3 columns no slot owns.
+    for (unsigned cols : {200u, 203u, 64u}) {
+        const BnnServeModel m = randomBnn(modelRng, 5);
+        const ArrayConfig cfg = packConfig(cols);
+        const PackedModel pm = PackedModel::compileBnn(lib, cfg, 0, m);
+        ASSERT_EQ(pm.colsPerRequest(), 5u);
+        expectPackDeployMatchesReference(
+            pm, cfg, lib, [&](Tile &t) { refDeployBnn(t, pm, m); },
+            true, 0);
+    }
+}
+
+TEST(ServePacking, SvmWordWritesMatchPerBitReference)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    Rng modelRng(62);
+    // 3 support vectors: 201 columns puts the 67th slot at the tile
+    // edge, 200 leaves two columns no slot owns, 130 ends mid-word.
+    for (unsigned cols : {201u, 200u, 130u}) {
+        const SvmServeModel m = randomSvm(modelRng, 3);
+        const ArrayConfig cfg = packConfig(cols);
+        const PackedModel pm = PackedModel::compileSvm(lib, cfg, 0, m);
+        ASSERT_EQ(pm.colsPerRequest(), 3u);
+        expectPackDeployMatchesReference(
+            pm, cfg, lib, [&](Tile &t) { refDeploySvm(t, pm, m); },
+            false, m.dim * 2 * m.inputBits);
+    }
+}
+
+// -- Model-affine claiming -------------------------------------------
+
+/** The report without its host-clock and pool-size fields. */
+std::string
+deterministicReport(const InferenceService &svc)
+{
+    std::string j = svc.reportJson();
+    const std::size_t from = j.find("\"workers\":");
+    const std::size_t to = j.find("\"sim\":{");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    return j.erase(from, to - from);
+}
+
+TEST(ServeScheduling, InterleavedBatchesAgreeAtEveryWorkerCount)
+{
+    Rng modelRng(88);
+    const BnnServeModel bnnModel = randomBnn(modelRng);
+    const SvmServeModel svmModel = randomSvm(modelRng);
+    constexpr unsigned kBatches = 12;  // 4 slots each
+
+    auto run = [&](unsigned workers) {
+        auto svc = std::make_unique<InferenceService>(
+            smallConfig(workers));
+        const ModelId bnn = svc->addModel(bnnModel);
+        const ModelId svm = svc->addModel(svmModel);
+        Rng rng(909);
+        // Strictly alternating full batches: BNN, SVM, BNN, ...
+        for (unsigned b = 0; b < kBatches; ++b) {
+            const ModelId m = b % 2 == 0 ? bnn : svm;
+            for (unsigned s = 0; s < 4; ++s) {
+                svc->submit(m, randomInput(rng, svc->model(m),
+                                           m == bnn ? 1 : kSvmInputBits));
+            }
+        }
+        svc->drain();
+        return svc;
+    };
+    const auto one = run(1);
+    ASSERT_EQ(one->batchesRun(), kBatches);
+    // One engine serves every BNN batch, then every SVM batch.
+    EXPECT_LE(one->programLoads(), one->numModels());
+    for (unsigned workers : {2u, 3u, 4u}) {
+        const auto many = run(workers);
+        EXPECT_EQ(many->stats()->toJson(), one->stats()->toJson())
+            << workers << " workers";
+        EXPECT_EQ(deterministicReport(*many), deterministicReport(*one))
+            << workers << " workers";
+        for (RequestId id = 0; id < kBatches * 4; ++id) {
+            const ClassifyResult &a = one->result(id);
+            const ClassifyResult &b = many->result(id);
+            EXPECT_EQ(a.predicted, b.predicted) << "request " << id;
+            EXPECT_EQ(a.batchId, b.batchId) << "request " << id;
+            EXPECT_EQ(a.slot, b.slot) << "request " << id;
+            EXPECT_EQ(a.simSeconds, b.simSeconds) << "request " << id;
+            EXPECT_EQ(a.energy, b.energy) << "request " << id;
+        }
+    }
+}
+
+TEST(ServeScheduling, OneEngineLoadsEachModelOncePerDrain)
+{
+    Rng modelRng(89);
+    InferenceService svc(smallConfig(1));
+    const ModelId bnn = svc.addModel(randomBnn(modelRng));
+    const ModelId svm = svc.addModel(randomSvm(modelRng));
+    const Workload w = makeWorkload(svc, bnn, svm, 40, 31);
+    submitAll(svc, w);
+    svc.drain();
+    EXPECT_GT(svc.batchesRun(), svc.numModels());
+    EXPECT_LE(svc.programLoads(), svc.numModels());
+    // A second drain starts on the model the engine still holds.
+    const std::size_t before = svc.programLoads();
+    const Workload again = makeWorkload(svc, bnn, svm, 40, 32);
+    for (std::size_t i = 0; i < again.models.size(); ++i) {
+        svc.submit(again.models[i], again.inputs[i]);
+    }
+    svc.drain();
+    EXPECT_LE(svc.programLoads() - before, svc.numModels());
 }
 
 } // namespace

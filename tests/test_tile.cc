@@ -230,6 +230,118 @@ TEST(ColumnSetTest, AddRangeCountAndEnumerate)
     EXPECT_FALSE(cols.test(15));
 }
 
+/** Two identical tiles of a width that is not a multiple of 64, with
+ *  a seeded random background: the word-wide host writes go to
+ *  fast_, their per-bit setBit() reference to ref_. */
+class TileFillTest : public ::testing::Test
+{
+  protected:
+    static constexpr unsigned kRows = 8;
+    static constexpr unsigned kCols = 200;
+
+    TileFillTest() : fast_(kRows, kCols), ref_(kRows, kCols)
+    {
+        Rng rng(12);
+        for (RowAddr r = 0; r < kRows; ++r) {
+            for (ColAddr c = 0; c < kCols; ++c) {
+                const Bit b = static_cast<Bit>(rng.below(2));
+                fast_.setBit(r, c, b);
+                ref_.setBit(r, c, b);
+            }
+        }
+    }
+
+    /** Per-bit reference of fillColumns. */
+    void
+    refFill(RowAddr row, ColAddr lo, ColAddr hi, Bit value)
+    {
+        for (unsigned c = lo; c <= hi; ++c) {
+            ref_.setBit(row, static_cast<ColAddr>(c), value);
+        }
+    }
+
+    Tile fast_;
+    Tile ref_;
+};
+
+TEST_F(TileFillTest, SingleColumnWhenLoEqualsHi)
+{
+    fast_.fillColumns(3, 70, 70, 1);
+    refFill(3, 70, 70, 1);
+    fast_.fillColumns(4, 0, 0, 0);
+    refFill(4, 0, 0, 0);
+    fast_.fillColumns(5, kCols - 1, kCols - 1, 1);
+    refFill(5, kCols - 1, kCols - 1, 1);
+    EXPECT_EQ(fast_.snapshot(), ref_.snapshot());
+}
+
+TEST_F(TileFillTest, EmptyRangeWritesNothing)
+{
+    const auto before = fast_.snapshot();
+    fast_.fillColumns(2, 9, 8, 1);
+    EXPECT_EQ(fast_.snapshot(), before);
+}
+
+TEST_F(TileFillTest, RangesStraddlingWordsMatchPerBitWrites)
+{
+    // Inside one word, across one boundary, across two, and ending
+    // at the tile edge inside the last (partial) word.
+    const std::array<std::pair<ColAddr, ColAddr>, 5> ranges{
+        {{5, 20}, {60, 70}, {63, 64}, {10, 150}, {130, kCols - 1}}};
+    for (const auto &[lo, hi] : ranges) {
+        for (Bit v : {Bit{1}, Bit{0}}) {
+            const RowAddr row = static_cast<RowAddr>((lo + v) % kRows);
+            fast_.fillColumns(row, lo, hi, v);
+            refFill(row, lo, hi, v);
+            ASSERT_EQ(fast_.snapshot(), ref_.snapshot())
+                << lo << ".." << hi << " <- " << static_cast<int>(v);
+        }
+    }
+}
+
+TEST_F(TileFillTest, FullRowLeavesOtherRowsAlone)
+{
+    fast_.fillColumns(6, 0, kCols - 1, 1);
+    refFill(6, 0, kCols - 1, 1);
+    fast_.fillColumns(1, 0, kCols - 1, 0);
+    refFill(1, 0, kCols - 1, 0);
+    EXPECT_EQ(fast_.snapshot(), ref_.snapshot());
+    for (ColAddr c = 0; c < kCols; ++c) {
+        EXPECT_EQ(fast_.bit(6, c), 1);
+        EXPECT_EQ(fast_.bit(1, c), 0);
+    }
+}
+
+TEST_F(TileFillTest, OutOfTileRangeAsserts)
+{
+    EXPECT_DEATH(fast_.fillColumns(0, 190, kCols, 1), "OOB");
+    EXPECT_DEATH(fast_.fillColumns(kRows, 0, 3, 1), "OOB");
+}
+
+TEST_F(TileFillTest, MaskedRowWriteMatchesPerBitWrites)
+{
+    Rng rng(34);
+    constexpr unsigned kWords = (kCols + 63) / 64;
+    std::vector<std::uint64_t> words(kWords);
+    std::vector<std::uint64_t> mask(kWords);
+    for (unsigned w = 0; w < kWords; ++w) {
+        words[w] = rng.next();
+        mask[w] = rng.next();
+    }
+    mask[kWords - 1] &= (1ULL << (kCols & 63)) - 1;
+    fast_.setRowWords(2, words, mask);
+    for (ColAddr c = 0; c < kCols; ++c) {
+        if ((mask[c >> 6] >> (c & 63)) & 1) {
+            ref_.setBit(2, c,
+                        static_cast<Bit>((words[c >> 6] >> (c & 63)) & 1));
+        }
+    }
+    EXPECT_EQ(fast_.snapshot(), ref_.snapshot());
+
+    mask[kWords - 1] |= 1ULL << (kCols & 63);
+    EXPECT_DEATH(fast_.setRowWords(2, words, mask), "OOB");
+}
+
 TEST(TileGridTest, ExecuteInstructionsEndToEnd)
 {
     const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));

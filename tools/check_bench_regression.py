@@ -30,9 +30,14 @@ Usage:
 
   check_bench_regression.py --list-baselines bench/baselines
 
+--bench is the only gate that depends on the host, so it refuses a
+baseline whose context lacks num_cpus or mouse_build_type, or whose
+mouse_build_type is Debug; a debug libbenchmark only warns.
+
 Exit codes: 0 all gates pass, 1 a gate failed, 2 a report file is
-missing or malformed (the error names the directory searched, and
---list-baselines shows what is actually committed there).
+missing or malformed, or a --bench baseline lacks its build context
+(the error names the directory searched, and --list-baselines shows
+what is actually committed there).
 """
 
 import argparse
@@ -64,7 +69,7 @@ def resolve_baseline(path):
         dated = sorted(
             f for f in os.listdir(directory) if pattern.fullmatch(f))
     except OSError:
-        return path  # load_items_per_second reports the clear error
+        return path  # load_report reports the clear error
     return os.path.join(directory, dated[-1]) if dated else path
 
 
@@ -102,7 +107,7 @@ def list_baselines(path):
         print(f"  {name}  (no undated stem; never selected)")
 
 
-def load_items_per_second(path):
+def load_report(path):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -118,6 +123,37 @@ def load_items_per_second(path):
             doc.get("benchmarks"), list):
         fail_usage(f"'{path}' has no 'benchmarks' array (not a"
                    " google-benchmark JSON report)")
+    return doc
+
+
+def check_baseline_context(path, doc):
+    """Refuse a baseline for the host-dependent --bench gate unless it
+    says what it was measured on: the CPU count and the build type of
+    the code under test, which must not be Debug.
+
+    A debug libbenchmark only warns: the timings come from the code
+    under test, and the image ships no other libbenchmark.
+    """
+    ctx = doc.get("context")
+    ctx = ctx if isinstance(ctx, dict) else {}
+    missing = [k for k in ("num_cpus", "mouse_build_type")
+               if ctx.get(k) in (None, "")]
+    if missing:
+        fail_usage(f"baseline '{path}' lacks context"
+                   f" {', '.join(missing)}; re-record it with"
+                   " bench_sim_throughput --benchmark_repetitions=5"
+                   " on an optimised build")
+    if str(ctx["mouse_build_type"]).lower() == "debug":
+        fail_usage(f"baseline '{path}' was recorded from a Debug build"
+                   " (mouse_build_type); re-record it on an optimised"
+                   " build")
+    if str(ctx.get("library_build_type", "")).lower() == "debug":
+        print(f"warning: baseline '{path}' was recorded with a debug"
+              " libbenchmark (library_build_type: debug)",
+              file=sys.stderr)
+
+
+def items_per_second(doc):
     out = {}
     for bench in doc["benchmarks"]:
         if "items_per_second" in bench:
@@ -171,8 +207,11 @@ def main():
     if baseline != args.baseline:
         print(f"baseline: {baseline} (latest dated entry for"
               f" {args.baseline})")
-    new = load_items_per_second(args.new)
-    base = load_items_per_second(baseline)
+    new = items_per_second(load_report(args.new))
+    base_doc = load_report(baseline)
+    if args.bench:
+        check_baseline_context(baseline, base_doc)
+    base = items_per_second(base_doc)
     failed = False
 
     for name in args.bench:
