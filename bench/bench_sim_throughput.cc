@@ -3,6 +3,7 @@
  * Google-benchmark microbenchmarks of the simulator itself: gate
  * operating-point solving, tile-level functional execution (gates
  * and presets), the controller step loop of a serving program,
+ * trace compilation (traceFor) of the paper benchmarks,
  * trace-level simulation throughput, and the parallel experiment
  * engine's points/sec on the full Figure-9 grid (serial vs N
  * threads), and the serving layer's per-batch pack and weight
@@ -294,6 +295,30 @@ BM_TracePowerSourceQuery(benchmark::State &state)
         static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_TracePowerSourceQuery)->Arg(2)->Arg(16)->Arg(128);
+
+/**
+ * Compile layer: one traceFor() of a paper benchmark on Modern STT,
+ * i.e. every measured kernel mix compiled plus the trace assembly.
+ * Each capture names a benchmark and passes its paperBenchmarks()
+ * index; items/s is traces compiled per second.
+ */
+void
+BM_TraceFor(benchmark::State &state, std::size_t bench_index)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ModernStt));
+    const bench::Benchmark &b = bench::paperBenchmarks()[bench_index];
+    for (auto _ : state) {
+        const Trace trace = bench::traceFor(lib, b);
+        benchmark::DoNotOptimize(trace.blocks.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TraceFor, svm_mnist, 0)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_TraceFor, svm_adult, 3)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_TraceFor, bnn_finn, 4)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_HarvestedTraceSvmMnist(benchmark::State &state)

@@ -166,10 +166,21 @@ KernelBuilder::emitGate(GateType g, const std::array<RowAddr, 3> &in,
     }
 }
 
-void
-KernelBuilder::requireFeasible(GateType g) const
+bool
+KernelBuilder::feasible(GateType g)
 {
-    if (!lib_.feasible(g)) {
+    const bool ok = lib_.feasible(g);
+    queries_ |= gateBit(g);
+    if (ok) {
+        answers_ |= gateBit(g);
+    }
+    return ok;
+}
+
+void
+KernelBuilder::requireFeasible(GateType g)
+{
+    if (!feasible(g)) {
         mouse_fatal("gate %s not feasible on %s", gateName(g).c_str(),
                     lib_.config().name().c_str());
     }
@@ -247,7 +258,7 @@ KernelBuilder::nand(Val a, Val b)
 Val
 KernelBuilder::andFlip(Val a, Val b)
 {
-    if (lib_.feasible(GateType::kAnd2)) {
+    if (feasible(GateType::kAnd2)) {
         return gate2(GateType::kAnd2, a, b);
     }
     Val same = andSame(a, b);
@@ -268,7 +279,7 @@ KernelBuilder::andSame(Val a, Val b)
 Val
 KernelBuilder::orFlip(Val a, Val b)
 {
-    if (lib_.feasible(GateType::kOr2)) {
+    if (feasible(GateType::kOr2)) {
         return gate2(GateType::kOr2, a, b);
     }
     // DeMorgan fallback: OR(a,b) = NAND(!a,!b); the NOTs flip parity

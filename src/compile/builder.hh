@@ -81,6 +81,16 @@ class KernelBuilder
     unsigned scratchHighWater() const { return rows_.highWater(); }
 
     /**
+     * Gates whose feasibility this kernel asked the library about,
+     * and the subset answered feasible.  The emitted instruction
+     * sequence is a function of these answers alone (placement only
+     * moves rows), so any library answering them alike compiles the
+     * same opcode stream.
+     */
+    GateMask gateQueries() const { return queries_; }
+    GateMask gateAnswers() const { return answers_; }
+
+    /**
      * Placement locality: allocate every gate's output row as close
      * as possible to its inputs, keeping operand spans short.
      * Defaults to on when the device has logic-line parasitics
@@ -239,8 +249,12 @@ class KernelBuilder
     void emitGate(GateType g, const std::array<RowAddr, 3> &in, int n,
                   RowAddr out);
 
+    /** Ask the library whether @p g is feasible, recording the
+     *  query and its answer. */
+    bool feasible(GateType g);
+
     /** Pick an implementable variant: asserts feasibility. */
-    void requireFeasible(GateType g) const;
+    void requireFeasible(GateType g);
 
     /** Output-row allocation honoring the locality policy. */
     RowAddr allocOut(unsigned parity, RowAddr anchor);
@@ -252,6 +266,8 @@ class KernelBuilder
     Program program_;
     bool locality_ = false;
     bool finished_ = false;
+    GateMask queries_ = 0;
+    GateMask answers_ = 0;
     /** Row neighbourhood of recent activity: pinned operands and
      *  gate outputs update it; locality allocation gravitates to
      *  it.  Mutable because pinnedWord() is logically const. */

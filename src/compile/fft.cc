@@ -238,6 +238,8 @@ buildFftTrace(const GateLibrary &lib, const FftWorkload &work,
         (per_chunk + tile_cols - 1) / tile_cols);
 
     Trace trace;
+    trace.gateQueries = kb.gateQueries();
+    trace.gateAnswers = kb.gateAnswers();
     const auto active = static_cast<unsigned>(per_chunk);
     for (unsigned stage = 0; stage < stages; ++stage) {
         for (unsigned chunk = 0; chunk < chunks; ++chunk) {

@@ -1,6 +1,7 @@
 #include "program.hh"
 
 #include "common/logging.hh"
+#include "logic/gate_library.hh"
 
 namespace mouse
 {
@@ -36,6 +37,19 @@ Trace::totalInstructions() const
     return total;
 }
 
+bool
+Trace::compiledFor(const GateLibrary &lib) const
+{
+    GateMask answers = 0;
+    for (int g = 0; g < kNumGateTypes; ++g) {
+        const auto gate = static_cast<GateType>(g);
+        if ((gateQueries & gateBit(gate)) && lib.feasible(gate)) {
+            answers |= gateBit(gate);
+        }
+    }
+    return answers == gateAnswers;
+}
+
 void
 Trace::append(Opcode op, unsigned touched_cols, unsigned active_after,
               std::uint64_t count)
@@ -60,6 +74,8 @@ Trace::appendTrace(const Trace &other, std::uint64_t times)
     // Appending block-by-block keeps the run-length merge working
     // across the seam; repeated appends of a cyclic trace compress
     // when the trace is homogeneous.
+    gateQueries |= other.gateQueries;
+    gateAnswers |= other.gateAnswers;
     for (std::uint64_t t = 0; t < times; ++t) {
         for (const TraceBlock &b : other.blocks) {
             append(b.op, b.touchedCols, b.activeColsAfter, b.count);

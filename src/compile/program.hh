@@ -26,6 +26,8 @@
 namespace mouse
 {
 
+class GateLibrary;
+
 /** A complete MOUSE program (must end with HALT). */
 struct Program
 {
@@ -59,13 +61,28 @@ struct Trace
 {
     std::vector<TraceBlock> blocks;
 
+    /**
+     * The only thing a compiled trace takes from its technology: the
+     * gates whose feasibility its kernels asked about, and the subset
+     * answered feasible.  The mapping's trace builders fill these; a
+     * trace derived any other way records none.
+     */
+    GateMask gateQueries = 0;
+    GateMask gateAnswers = 0;
+
+    /** True when @p lib answers every recorded feasibility query as
+     *  this trace's compile did, i.e. compiling for @p lib would
+     *  produce this same trace. */
+    bool compiledFor(const GateLibrary &lib) const;
+
     std::uint64_t totalInstructions() const;
 
     /** Append one block, merging with the tail when possible. */
     void append(Opcode op, unsigned touched_cols,
                 unsigned active_after, std::uint64_t count = 1);
 
-    /** Append another trace @p times times. */
+    /** Append another trace @p times times (its gate queries and
+     *  answers join this trace's). */
     void appendTrace(const Trace &other, std::uint64_t times = 1);
 
     /**

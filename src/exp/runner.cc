@@ -92,6 +92,48 @@ ExperimentRunner::forEach(
     }
 }
 
+std::vector<std::shared_ptr<const Trace>>
+ExperimentRunner::compileTraces(
+    const std::vector<const GateLibrary *> &libs,
+    const std::vector<Benchmark> &benchmarks) const
+{
+    const std::size_t nbench = benchmarks.size();
+    std::vector<std::shared_ptr<const Trace>> traces(libs.size() *
+                                                     nbench);
+    // One round per distinct set of answers: share every trace
+    // already compiled for a benchmark with each library it was
+    // compiledFor(), then compile, in parallel across benchmarks, for
+    // the first library of each benchmark that is still uncovered.
+    while (true) {
+        std::vector<std::size_t> todo;
+        for (std::size_t b = 0; b < nbench; ++b) {
+            for (std::size_t l = 0; l < libs.size(); ++l) {
+                std::shared_ptr<const Trace> &slot =
+                    traces[l * nbench + b];
+                for (std::size_t k = 0; k < libs.size() && !slot;
+                     ++k) {
+                    const auto &built = traces[k * nbench + b];
+                    if (built && built->compiledFor(*libs[l])) {
+                        slot = built;
+                    }
+                }
+                if (!slot) {
+                    todo.push_back(l * nbench + b);
+                    break;
+                }
+            }
+        }
+        if (todo.empty()) {
+            return traces;
+        }
+        forEach(todo.size(), [&](std::size_t i) {
+            const std::size_t slot = todo[i];
+            traces[slot] = std::make_shared<const Trace>(traceFor(
+                *libs[slot / nbench], benchmarks[slot % nbench]));
+        });
+    }
+}
+
 SweepResult
 ExperimentRunner::run(const SweepGrid &grid) const
 {
@@ -102,9 +144,9 @@ ExperimentRunner::run(const SweepGrid &grid) const
     const std::size_t total = grid.size();
 
     // Shared immutable contexts: one gate library + energy model per
-    // (tech, margin), one trace per (tech, margin, benchmark).  Both
-    // levels are themselves built in parallel, then only read during
-    // the point runs.
+    // (tech, margin), built in parallel, and a table of traces that
+    // contexts share wherever their libraries compile alike.  Both
+    // are only read during the point runs.
     struct Context
     {
         std::unique_ptr<GateLibrary> lib;
@@ -121,12 +163,13 @@ ExperimentRunner::run(const SweepGrid &grid) const
             std::make_unique<EnergyModel>(*contexts[i].lib);
     });
 
+    std::vector<const GateLibrary *> libs(nctx);
+    for (std::size_t i = 0; i < nctx; ++i) {
+        libs[i] = contexts[i].lib.get();
+    }
     const std::size_t nbench = grid.benchmarks.size();
-    std::vector<Trace> traces(nctx * nbench);
-    forEach(traces.size(), [&](std::size_t i) {
-        traces[i] = traceFor(*contexts[i / nbench].lib,
-                             grid.benchmarks[i % nbench]);
-    });
+    const std::vector<std::shared_ptr<const Trace>> traces =
+        compileTraces(libs, grid.benchmarks);
 
     SweepResult result;
     result.grid = grid;
@@ -158,7 +201,7 @@ ExperimentRunner::run(const SweepGrid &grid) const
         const std::size_t tech_index = rest / grid.benchmarks.size();
         const std::size_t ctx =
             tech_index * grid.margins.size() + margin_index;
-        const Trace &trace = traces[ctx * nbench + point.benchmark];
+        const Trace &trace = *traces[ctx * nbench + point.benchmark];
         const EnergyModel &energy = *contexts[ctx].energy;
 
         const auto p0 = std::chrono::steady_clock::now();

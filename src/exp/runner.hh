@@ -20,6 +20,7 @@
 #define MOUSE_EXP_RUNNER_HH
 
 #include <functional>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -117,10 +118,23 @@ class ExperimentRunner
     }
 
     /**
+     * The trace of every benchmark on every library: entry
+     * l * benchmarks.size() + b is traceFor(*libs[l], benchmarks[b]).
+     * A benchmark compiles once per distinct set of answers its
+     * compile asks of the libraries (Trace::compiledFor); every
+     * library answering alike shares that trace.  The first library's
+     * traces compile in parallel, then one parallel round per further
+     * answer set.
+     */
+    std::vector<std::shared_ptr<const Trace>>
+    compileTraces(const std::vector<const GateLibrary *> &libs,
+                  const std::vector<Benchmark> &benchmarks) const;
+
+    /**
      * Run every point of @p grid and collect the index-keyed result
-     * table.  Shared per-(tech, margin) gate libraries and
-     * per-(tech, margin, benchmark) traces are built once (also in
-     * parallel) and read concurrently by the point runs.
+     * table.  One gate library per (tech, margin) is built (in
+     * parallel), the traces come from compileTraces() over those
+     * libraries, and the point runs read both concurrently.
      */
     SweepResult run(const SweepGrid &grid) const;
 

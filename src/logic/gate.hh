@@ -45,6 +45,15 @@ enum class GateType : std::uint8_t
 constexpr int kNumGateTypes =
     static_cast<int>(GateType::kNumGateTypes);
 
+/** A set of gate types: bit g is gateBit(g). */
+using GateMask = std::uint16_t;
+
+constexpr GateMask
+gateBit(GateType g)
+{
+    return static_cast<GateMask>(1u << static_cast<unsigned>(g));
+}
+
 /** Number of input rows the gate consumes (1, 2, or 3). */
 int gateNumInputs(GateType g);
 

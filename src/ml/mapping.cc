@@ -18,6 +18,9 @@ struct InstrMix
                static_cast<std::size_t>(Opcode::kNumOpcodes)>
         counts{};
     unsigned scratchPeak = 0;
+    /** The builder's feasibility queries and answers. */
+    GateMask gateQueries = 0;
+    GateMask gateAnswers = 0;
 
     std::uint64_t
     total() const
@@ -49,6 +52,8 @@ measureMix(const GateLibrary &lib,
 
     InstrMix mix;
     mix.scratchPeak = kb.scratchHighWater();
+    mix.gateQueries = kb.gateQueries();
+    mix.gateAnswers = kb.gateAnswers();
     for (const Instruction &inst : prog.instructions) {
         if (inst.op == Opcode::kHalt ||
             inst.op == Opcode::kActivateList ||
@@ -60,11 +65,14 @@ measureMix(const GateLibrary &lib,
     return mix;
 }
 
-/** Append @p repeats executions of a measured mix to the trace. */
+/** Append @p repeats executions of a measured mix to the trace,
+ *  which takes on the mix's feasibility queries and answers. */
 void
 emitMix(Trace &trace, const InstrMix &mix, unsigned touched_cols,
         unsigned active_after, std::uint64_t repeats)
 {
+    trace.gateQueries |= mix.gateQueries;
+    trace.gateAnswers |= mix.gateAnswers;
     if (repeats == 0) {
         return;
     }
@@ -358,6 +366,28 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
         peak_cols = std::max(peak_cols, chunk_cols);
         data_cols += cols;
 
+        // The partial-count add and the threshold depend only on the
+        // layer's accumulator width: measure them once per layer.
+        InstrMix add_mix;
+        if (cols_per_neuron > 1) {
+            add_mix = measureMix(lib, [&](KernelBuilder &kb) {
+                const Word a = kb.pinnedWord(0, acc_bits);
+                const Word b = kb.pinnedWord(
+                    static_cast<RowAddr>(2 * acc_bits), acc_bits);
+                Word s = kb.add(a, b, false);
+                (void)s;
+            });
+        }
+        // Threshold (batch-norm fold): count - threshold.
+        const InstrMix thresh_mix =
+            measureMix(lib, [&](KernelBuilder &kb) {
+                const Word count = kb.pinnedWord(0, acc_bits);
+                const Word thresh = kb.pinnedWord(
+                    static_cast<RowAddr>(2 * acc_bits), acc_bits);
+                Word diff = kb.sub(count, thresh);
+                (void)diff;
+            });
+
         for (unsigned chunk = 0; chunk < chunks; ++chunk) {
             trace.append(Opcode::kActivateRange, active, active, 1);
 
@@ -376,29 +406,11 @@ buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
                                  cols_per_neuron - 1) *
                                  acc_bits,
                              tiles, out_chunk);
-                const InstrMix add_mix =
-                    measureMix(lib, [&](KernelBuilder &kb) {
-                        const Word a = kb.pinnedWord(0, acc_bits);
-                        const Word b = kb.pinnedWord(
-                            static_cast<RowAddr>(2 * acc_bits),
-                            acc_bits);
-                        Word s = kb.add(a, b, false);
-                        (void)s;
-                    });
                 emitMix(trace, add_mix, out_chunk, out_chunk,
                         cols_per_neuron - 1);
             }
 
-            // Threshold (batch-norm fold): count - threshold.
-            const InstrMix thresh_mix =
-                measureMix(lib, [&](KernelBuilder &kb) {
-                    const Word count = kb.pinnedWord(0, acc_bits);
-                    const Word thresh = kb.pinnedWord(
-                        static_cast<RowAddr>(2 * acc_bits),
-                        acc_bits);
-                    Word diff = kb.sub(count, thresh);
-                    (void)diff;
-                });
+            // Threshold (batch-norm fold).
             emitMix(trace, thresh_mix, out_chunk, out_chunk, 1);
         }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hh"
 #include "compile/builder.hh"
 #include "controller/controller.hh"
@@ -504,6 +506,48 @@ TEST(Builder, TraceFromProgramMatchesCycleCount)
             EXPECT_EQ(blk.touchedCols, 4u);
         }
     }
+}
+
+TEST(Builder, RecordsEveryFeasibilityQueryAndAnswer)
+{
+    // Modern STT loses OR2 at the default 0.05 margin and keeps it at
+    // 0.03, so orFlip asks about OR2 on both and branches on it.
+    const ArrayConfig cfg = BuilderHarness().config();
+    const DeviceConfig modern = makeDeviceConfig(TechConfig::ModernStt);
+    const GateLibrary strict(modern, 0.05);
+    const GateLibrary loose(modern, 0.03);
+    ASSERT_FALSE(strict.feasible(GateType::kOr2));
+    ASSERT_TRUE(loose.feasible(GateType::kOr2));
+
+    const auto compileOr = [&](const GateLibrary &lib) {
+        KernelBuilder kb(lib, cfg, 0, 8);
+        (void)kb.orFlip(kb.pinned(0), kb.pinned(2));
+        return std::pair{kb.gateQueries(), kb.gateAnswers()};
+    };
+    const auto [strict_q, strict_a] = compileOr(strict);
+    const auto [loose_q, loose_a] = compileOr(loose);
+    // The fallback also asks about (and gets) NOT, NAND2 and BUF.
+    EXPECT_EQ(strict_q, gateBit(GateType::kOr2) |
+                            gateBit(GateType::kNot) |
+                            gateBit(GateType::kNand2) |
+                            gateBit(GateType::kBuf));
+    EXPECT_EQ(strict_a, strict_q & ~gateBit(GateType::kOr2));
+    EXPECT_EQ(loose_q, gateBit(GateType::kOr2));
+    EXPECT_EQ(loose_a, gateBit(GateType::kOr2));
+
+    // A trace carrying the strict answers is compiled for the strict
+    // library only: the loose one answers the OR2 query differently.
+    Trace trace;
+    trace.gateQueries = strict_q;
+    trace.gateAnswers = strict_a;
+    EXPECT_TRUE(trace.compiledFor(strict));
+    EXPECT_FALSE(trace.compiledFor(loose));
+    // Queries the compile never asked do not matter.
+    Trace nand_only;
+    nand_only.gateQueries = gateBit(GateType::kNand2);
+    nand_only.gateAnswers = gateBit(GateType::kNand2);
+    EXPECT_TRUE(nand_only.compiledFor(strict));
+    EXPECT_TRUE(nand_only.compiledFor(loose));
 }
 
 } // namespace

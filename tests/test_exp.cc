@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -273,6 +274,110 @@ TEST(ExperimentRunner, CheckpointPeriodAxisChangesBackupEnergy)
     // Wider checkpoint period amortizes the per-cycle backup cost.
     EXPECT_GT(res.points[0].stats.backupEnergy,
               res.points[1].stats.backupEnergy);
+}
+
+// -- Shared traces ---------------------------------------------------
+
+/** The paper's three techs at gate margins 0.05 and 0.03. */
+std::vector<std::unique_ptr<GateLibrary>>
+paperLibraries()
+{
+    std::vector<std::unique_ptr<GateLibrary>> libs;
+    for (TechConfig tech : {TechConfig::ModernStt,
+                            TechConfig::ProjectedStt,
+                            TechConfig::ProjectedShe}) {
+        for (double margin : {0.05, 0.03}) {
+            libs.push_back(std::make_unique<GateLibrary>(
+                makeDeviceConfig(tech), margin));
+        }
+    }
+    return libs;
+}
+
+void
+expectSameTrace(const Trace &a, const Trace &b)
+{
+    EXPECT_EQ(a.gateQueries, b.gateQueries);
+    EXPECT_EQ(a.gateAnswers, b.gateAnswers);
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+        EXPECT_EQ(a.blocks[i].op, b.blocks[i].op) << "block " << i;
+        EXPECT_EQ(a.blocks[i].touchedCols, b.blocks[i].touchedCols);
+        EXPECT_EQ(a.blocks[i].activeColsAfter,
+                  b.blocks[i].activeColsAfter);
+        EXPECT_EQ(a.blocks[i].count, b.blocks[i].count);
+    }
+}
+
+TEST(SharedTraces, PaperTracesAskOnlyAboutBufNotAndNand2)
+{
+    const GateMask universal = gateBit(GateType::kBuf) |
+                               gateBit(GateType::kNot) |
+                               gateBit(GateType::kNand2);
+    for (const auto &lib : paperLibraries()) {
+        for (const exp::Benchmark &bench : exp::paperBenchmarks()) {
+            const Trace trace = exp::traceFor(*lib, bench);
+            EXPECT_EQ(trace.gateQueries, universal) << bench.name;
+            EXPECT_EQ(trace.gateAnswers, universal) << bench.name;
+            EXPECT_TRUE(trace.compiledFor(*lib));
+        }
+    }
+}
+
+TEST(SharedTraces, SharedTraceEqualsEachContextsOwnCompile)
+{
+    const auto owned = paperLibraries();
+    std::vector<const GateLibrary *> libs;
+    for (const auto &lib : owned) {
+        libs.push_back(lib.get());
+    }
+    const auto &benches = exp::paperBenchmarks();
+    const auto traces =
+        exp::ExperimentRunner(4).compileTraces(libs, benches);
+    ASSERT_EQ(traces.size(), libs.size() * benches.size());
+    std::set<const Trace *> distinct;
+    for (std::size_t l = 0; l < libs.size(); ++l) {
+        for (std::size_t b = 0; b < benches.size(); ++b) {
+            const Trace &shared = *traces[l * benches.size() + b];
+            SCOPED_TRACE(libs[l]->config().name() + " / " +
+                         benches[b].name);
+            expectSameTrace(shared, exp::traceFor(*libs[l], benches[b]));
+            distinct.insert(&shared);
+        }
+    }
+    // Every context answers BUF, NOT and NAND2 alike, so each
+    // benchmark compiles once.
+    EXPECT_EQ(distinct.size(), benches.size());
+}
+
+TEST(SharedTraces, SweepMatchesPerContextCompile)
+{
+    exp::SweepGrid grid;
+    grid.techs = {TechConfig::ModernStt, TechConfig::ProjectedStt,
+                  TechConfig::ProjectedShe};
+    grid.benchmarks = {exp::paperBenchmarks()[3],
+                       exp::paperBenchmarks()[4]};
+    grid.powers = {exp::kContinuousPower, 60e-6, 1e-3};
+    grid.checkpointPeriods = {1u, 8u};
+    grid.margins = {0.05, 0.03};
+    grid.rootSeed = 7;
+    const exp::SweepResult res = exp::ExperimentRunner(4).run(grid);
+    ASSERT_EQ(res.points.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const exp::SweepPoint point = grid.at(i);
+        const GateLibrary lib(makeDeviceConfig(point.tech),
+                              point.margin);
+        const EnergyModel energy(lib);
+        const Trace trace =
+            exp::traceFor(lib, grid.benchmarks[point.benchmark]);
+        const RunStats ref =
+            point.continuous()
+                ? runContinuousTrace(trace, energy)
+                : runHarvestedTrace(trace, energy,
+                                    grid.harvestFor(point));
+        ASSERT_TRUE(res.points[i].ok()) << i;
+        EXPECT_EQ(toJson(res.points[i].stats), toJson(ref)) << i;
+    }
 }
 
 TEST(Names, TechKeysRoundTrip)
