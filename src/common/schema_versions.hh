@@ -26,7 +26,9 @@ namespace mouse::schema {
  *  every time-varying source; 8 = the MCU baseline runs in the
  *  simulators' burst loop, and platform front ends derate the source
  *  instead of the load, which moves every MCU point and every MOUSE
- *  point on a platform (docs/EXPERIMENTS_API.md,
+ *  point on a platform.  The v4 "serve" block was later removed
+ *  without a bump: no emitter outside the deleted asynchronous
+ *  Accelerator queue ever produced it (docs/EXPERIMENTS_API.md,
  *  docs/FAULT_INJECTION.md, docs/SERVING.md, docs/HARVESTING.md,
  *  docs/BASELINES.md). */
 inline constexpr int kResultSchemaVersion = 8;

@@ -70,8 +70,8 @@ using Bit = std::uint8_t;
  * constructed observer is unambiguously "not provided".
  *
  * It remains non-owning: the referent must outlive every use of the
- * observer (for Accelerator::submit(), until the request's result
- * has been produced).  See docs/EXPERIMENTS_API.md.
+ * observer (for a RunRequest, until Accelerator::execute()
+ * returns).  See docs/EXPERIMENTS_API.md.
  */
 template <typename T>
 class ObserverPtr

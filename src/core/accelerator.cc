@@ -4,8 +4,6 @@
 
 #include "baseline/mcu/mcu_model.hh"
 #include "baseline/selector.hh"
-#include "common/logging.hh"
-#include "obs/metrics_hub.hh"
 
 namespace mouse
 {
@@ -119,84 +117,6 @@ Accelerator::execute(const RunRequest &req)
         res.meta.checkpointPeriod = req.harvest.checkpointPeriod;
     }
     return res;
-}
-
-RequestHandle
-Accelerator::submit(RunRequest req)
-{
-    PendingRun run;
-    run.id = nextHandle_++;
-    run.req = std::move(req);
-    run.queueDepth = static_cast<unsigned>(pending_.size());
-    run.submitted = std::chrono::steady_clock::now();
-    pending_.push_back(std::move(run));
-    if (metrics_ != nullptr) {
-        metrics_->recordSubmit();
-    }
-    return RequestHandle{pending_.back().id};
-}
-
-void
-Accelerator::runOnePending()
-{
-    PendingRun run = std::move(pending_.front());
-    pending_.pop_front();
-    const double queued =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - run.submitted)
-            .count();
-    RunResult res = execute(run.req);
-    res.serve.present = true;
-    res.serve.requestId = run.id;
-    res.serve.queueDepth = run.queueDepth;
-    res.serve.queueSeconds = queued;
-    if (metrics_ != nullptr) {
-        // An async run is a batch of one; rejected requests still
-        // complete (lowering the queue gauge) but execute nothing.
-        if (res.ok()) {
-            metrics_->recordBatch(1, 1, res.stats.totalTime(),
-                                  res.stats.totalEnergy(),
-                                  res.stats.chargingTime,
-                                  res.stats.outages);
-        }
-        metrics_->recordDone(queued + res.wallSeconds,
-                             res.stats.totalTime());
-    }
-    completed_.emplace(run.id, std::move(res));
-}
-
-std::optional<RunResult>
-Accelerator::poll(RequestHandle h)
-{
-    if (auto it = completed_.find(h.id); it != completed_.end()) {
-        RunResult res = std::move(it->second);
-        completed_.erase(it);
-        return res;
-    }
-    if (pending_.empty()) {
-        return std::nullopt;
-    }
-    runOnePending();
-    if (auto it = completed_.find(h.id); it != completed_.end()) {
-        RunResult res = std::move(it->second);
-        completed_.erase(it);
-        return res;
-    }
-    return std::nullopt;
-}
-
-RunResult
-Accelerator::wait(RequestHandle h)
-{
-    for (;;) {
-        if (auto res = poll(h)) {
-            return std::move(*res);
-        }
-        mouse_assert(!pending_.empty() ||
-                         completed_.count(h.id) != 0,
-                     "wait() on an unknown or already-redeemed "
-                     "request handle");
-    }
 }
 
 } // namespace mouse

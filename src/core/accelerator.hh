@@ -18,9 +18,6 @@
 #ifndef MOUSE_CORE_ACCELERATOR_HH
 #define MOUSE_CORE_ACCELERATOR_HH
 
-#include <chrono>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -31,21 +28,6 @@
 
 namespace mouse
 {
-
-namespace obs
-{
-class MetricsHub;
-} // namespace obs
-
-/**
- * Ticket identifying a request given to Accelerator::submit().
- * Redeem it with poll() (non-blocking) or wait() (runs the queue
- * until the request completes).
- */
-struct RequestHandle
-{
-    std::uint64_t id = 0;
-};
 
 /** Top-level configuration of a MOUSE accelerator instance. */
 struct MouseConfig
@@ -90,68 +72,7 @@ class Accelerator
      */
     RunResult execute(const RunRequest &req);
 
-    // -- Asynchronous request API (result schema v4) ----------------
-    //
-    // submit() admits a request into a FIFO queue and returns a
-    // ticket; the run happens later, on whichever thread redeems
-    // tickets.  The Accelerator stays single-threaded — poll() and
-    // wait() *drive* the queue cooperatively (each poll() advances
-    // it by at most one run; wait() advances it until the named
-    // request is done), so async semantics cost no locks and stay
-    // deterministic: requests run exactly in submission order.
-    // For real concurrency across a pool of accelerators, use
-    // serve::InferenceService (docs/SERVING.md).
-
-    /**
-     * Queue @p req for execution; returns immediately.
-     *
-     * The request is copied, but its trace/schedule observers are
-     * borrowed: their referents must stay alive until the result
-     * has been returned by poll()/wait().  Malformed requests are
-     * accepted here and rejected with their typed RunError when
-     * they run, exactly like execute().
-     */
-    RequestHandle submit(RunRequest req);
-
-    /**
-     * Advance the queue by at most one run, then return @p h's
-     * result if it is now complete (at most once; the result moves
-     * out).  nullopt while the request is still queued.
-     */
-    std::optional<RunResult> poll(RequestHandle h);
-
-    /**
-     * Run queued requests (in order) until @p h completes; returns
-     * its result.  @p h must name an outstanding submit() ticket.
-     */
-    RunResult wait(RequestHandle h);
-
-    /** Requests admitted but not yet run. */
-    std::size_t pendingRequests() const { return pending_.size(); }
-
-    /**
-     * Attach a live-metrics hub (docs/OBSERVABILITY.md): submit()
-     * and the queue driver publish admission/completion/latency into
-     * it.  Observational only — results, stats and traces are
-     * byte-identical with or without a hub.  Null detaches.  The hub
-     * must outlive the accelerator (or be detached first).
-     */
-    void setMetrics(obs::MetricsHub *hub) { metrics_ = hub; }
-
   private:
-    /** One admitted-but-not-run request. */
-    struct PendingRun
-    {
-        std::uint64_t id = 0;
-        RunRequest req;
-        /** Queue length at admission (serve metadata). */
-        unsigned queueDepth = 0;
-        std::chrono::steady_clock::time_point submitted;
-    };
-
-    /** Run the front of the queue and file its result. */
-    void runOnePending();
-
     MouseConfig cfg_;
     /** Retained copy of the last loadProgram() argument: the MCU
      *  baseline replays it as an op stream (Functional fidelity has
@@ -162,10 +83,6 @@ class Accelerator
     std::unique_ptr<TileGrid> grid_;
     std::unique_ptr<InstructionMemory> imem_;
     std::unique_ptr<Controller> controller_;
-    std::deque<PendingRun> pending_;
-    std::map<std::uint64_t, RunResult> completed_;
-    std::uint64_t nextHandle_ = 1;
-    obs::MetricsHub *metrics_ = nullptr;
 };
 
 } // namespace mouse

@@ -334,19 +334,6 @@ RunResult::toJson() const
     j += ",\"label\":\"" + jsonEscape(meta.label) + "\"";
     j += "},";
     j += "\"wall_seconds\":" + num(wallSeconds);
-    if (serve.present) {
-        j += ",\"serve\":{";
-        j += "\"request_id\":" + num(serve.requestId);
-        j += ",\"batch_id\":" + num(serve.batchId);
-        j += ",\"batch_size\":" +
-             num(static_cast<std::uint64_t>(serve.batchSize));
-        j += ",\"slot\":" +
-             num(static_cast<std::uint64_t>(serve.slot));
-        j += ",\"queue_depth\":" +
-             num(static_cast<std::uint64_t>(serve.queueDepth));
-        j += ",\"queue_seconds\":" + num(serve.queueSeconds);
-        j += "}";
-    }
     j += ",\"stats\":" + mouse::toJson(stats);
     if (statsTree && !statsTree->empty()) {
         j += ",\"stat_registry\":" + statsTree->toJson();

@@ -65,9 +65,8 @@ struct RunRequest
     /**
      * Outage script; required for Scheduled power, ignored
      * otherwise.  An explicit observer (common/types.hh): create it
-     * with observe(schedule), and keep the schedule alive until the
-     * run's result exists (for submit(), until poll()/wait()
-     * returns it).
+     * with observe(schedule), and keep the schedule alive until
+     * execute() returns.
      */
     ObserverPtr<const OutageSchedule> schedule;
     /** Attempt guard for Scheduled runs (0 = unlimited): a run that
@@ -237,31 +236,6 @@ struct PointMeta
     std::string label;
 };
 
-/**
- * Queue/batch provenance of a run that went through the asynchronous
- * path — Accelerator::submit() or the src/serve batching layer.
- * Absent (present == false, no JSON emitted) for plain execute()
- * calls, so schema-3 consumers that never submit see unchanged
- * documents.
- */
-struct ServeMeta
-{
-    /** True once the async path filled this block. */
-    bool present = false;
-    /** Handle / service-assigned id of the request. */
-    std::uint64_t requestId = 0;
-    /** Batch the request was packed into (0-based, per service). */
-    std::uint64_t batchId = 0;
-    /** Requests packed into the same word-parallel pass. */
-    unsigned batchSize = 1;
-    /** Column slot the request occupied within the pass. */
-    unsigned slot = 0;
-    /** Requests already queued when this one was admitted. */
-    unsigned queueDepth = 0;
-    /** Host seconds between admission and the start of its run. */
-    double queueSeconds = 0.0;
-};
-
 /** Outcome of one run: simulation stats plus provenance. */
 struct RunResult
 {
@@ -272,8 +246,6 @@ struct RunResult
     /** Host wall-clock time spent simulating, in seconds. */
     double wallSeconds = 0.0;
     PointMeta meta;
-    /** Batch/queue provenance; only filled by the async path. */
-    ServeMeta serve;
 
     bool ok() const { return error == RunError::kNone; }
     /** Hierarchical stats tree; null unless telemetry.stats. */

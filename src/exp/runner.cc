@@ -12,7 +12,6 @@
 #include "baseline/sonic_scheme.hh"
 #include "common/logging.hh"
 #include "exp/names.hh"
-#include "obs/metrics_hub.hh"
 
 namespace mouse::exp
 {
@@ -174,11 +173,6 @@ ExperimentRunner::run(const SweepGrid &grid) const
     SweepResult result;
     result.grid = grid;
     result.threads = threads_;
-    if (metrics_ != nullptr) {
-        // The whole grid is known up front: admit it all, so the
-        // queue-depth gauge shows remaining points as the sweep runs.
-        metrics_->recordSubmit(total);
-    }
     std::atomic<std::size_t> done{0};
     std::mutex progress_mutex;
     result.points = map(total, [&](std::size_t i) {
@@ -261,14 +255,6 @@ ExperimentRunner::run(const SweepGrid &grid) const
         r.meta.margin = point.margin;
         r.statsTree = telem.stats;
         r.traceSink = telem.sink;
-        if (metrics_ != nullptr) {
-            metrics_->recordBatch(1, 1, r.stats.totalTime(),
-                                  r.stats.totalEnergy(),
-                                  r.stats.chargingTime,
-                                  r.stats.outages);
-            metrics_->recordDone(r.wallSeconds,
-                                 r.stats.totalTime());
-        }
         if (progress_) {
             const std::size_t d =
                 done.fetch_add(1, std::memory_order_relaxed) + 1;

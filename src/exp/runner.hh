@@ -88,15 +88,6 @@ class ExperimentRunner
     }
 
     /**
-     * Attach a live-metrics hub: run() publishes admission (all
-     * points up front), per-point batch/latency samples and worker
-     * activity into it, so a long sweep is observable while it runs.
-     * Observational only — SweepResult and its folded telemetry are
-     * byte-identical with or without a hub.  Null detaches.
-     */
-    void setMetrics(obs::MetricsHub *hub) { metrics_ = hub; }
-
-    /**
      * Invoke fn(i) for every i in [0, count), distributing indices
      * across the pool; blocks until all complete.  fn must not
      * mutate shared state without its own synchronization.
@@ -141,7 +132,6 @@ class ExperimentRunner
   private:
     unsigned threads_;
     std::function<void(std::size_t, std::size_t)> progress_;
-    obs::MetricsHub *metrics_ = nullptr;
 };
 
 } // namespace mouse::exp

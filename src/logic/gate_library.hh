@@ -97,16 +97,6 @@ class GateLibrary
 
     bool feasible(GateType g) const { return gate(g).feasible; }
 
-    /** Energy of one gate pulse for a specific input combination. */
-    Joules
-    gateEnergy(GateType g, unsigned inputs) const
-    {
-        return gate(g).energyByCombo[inputs];
-    }
-
-    /** Worst-case (max over combos) energy of one gate pulse. */
-    Joules gateWorstEnergy(GateType g) const { return gate(g).worstEnergy; }
-
     /** Mean-over-combos energy of one gate pulse; used by the trace
      *  model when the data values are not simulated. */
     Joules gateAvgEnergy(GateType g) const { return gate(g).avgEnergy; }

@@ -15,6 +15,12 @@ namespace mouse::obs
 namespace
 {
 
+/** Span of host time the windowed figures cover. */
+constexpr double kWindowSeconds = 10.0;
+/** Ring granularity; the window decays in slot-sized steps. */
+constexpr unsigned kWindowSlots = 16;
+constexpr double kSlotSeconds = kWindowSeconds / kWindowSlots;
+
 std::string
 num(double v)
 {
@@ -186,16 +192,10 @@ struct MetricsHub::Slot
     }
 };
 
-MetricsHub::MetricsHub(const MetricsConfig &cfg)
-    : cfg_(cfg), epoch_(std::chrono::steady_clock::now())
+MetricsHub::MetricsHub()
+    : epoch_(std::chrono::steady_clock::now()),
+      slots_(std::make_unique<Slot[]>(kWindowSlots))
 {
-    mouse_assert(cfg_.windowSeconds > 0.0,
-                 "metrics window must be positive");
-    mouse_assert(cfg_.windowSlots >= 2,
-                 "metrics window needs >= 2 slots");
-    slotSeconds_ = cfg_.windowSeconds /
-                   static_cast<double>(cfg_.windowSlots);
-    slots_ = std::make_unique<Slot[]>(cfg_.windowSlots);
 }
 
 MetricsHub::~MetricsHub() = default;
@@ -212,9 +212,9 @@ MetricsHub::Slot &
 MetricsHub::slotFor(double nowS, std::uint64_t &epochOut)
 {
     const std::uint64_t e =
-        static_cast<std::uint64_t>(nowS / slotSeconds_);
+        static_cast<std::uint64_t>(nowS / kSlotSeconds);
     epochOut = e;
-    Slot &s = slots_[e % cfg_.windowSlots];
+    Slot &s = slots_[e % kWindowSlots];
     std::uint64_t seen = s.epoch.load(std::memory_order_relaxed);
     while (seen != e) {
         // First writer to land in a recycled time range claims the
@@ -231,11 +231,10 @@ MetricsHub::slotFor(double nowS, std::uint64_t &epochOut)
 }
 
 void
-MetricsHub::recordSubmit(std::uint64_t n)
+MetricsHub::recordSubmit()
 {
-    submitted_.fetch_add(n, std::memory_order_relaxed);
-    queueDepth_.fetch_add(static_cast<std::int64_t>(n),
-                          std::memory_order_relaxed);
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    queueDepth_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -322,15 +321,15 @@ MetricsHub::snapshot() const
 
     // Fold the live window slots.
     const std::uint64_t cur = static_cast<std::uint64_t>(
-        snap.uptimeSeconds / slotSeconds_);
+        snap.uptimeSeconds / kSlotSeconds);
     const std::uint64_t oldest =
-        cur >= cfg_.windowSlots ? cur - cfg_.windowSlots + 1 : 0;
+        cur >= kWindowSlots ? cur - kWindowSlots + 1 : 0;
     MergedHist host;
     MergedHist sim;
     std::uint64_t wSlotsTotal = 0;
     std::uint64_t wSlotsUsed = 0;
     double wEnergy = 0.0;
-    for (unsigned i = 0; i < cfg_.windowSlots; ++i) {
+    for (unsigned i = 0; i < kWindowSlots; ++i) {
         const Slot &s = slots_[i];
         const std::uint64_t e =
             s.epoch.load(std::memory_order_relaxed);
@@ -366,7 +365,7 @@ MetricsHub::snapshot() const
             sim.max, s.simMax.load(std::memory_order_relaxed));
     }
     snap.windowSeconds =
-        std::min(snap.uptimeSeconds, cfg_.windowSeconds);
+        std::min(snap.uptimeSeconds, kWindowSeconds);
     snap.windowThroughputPerS =
         snap.windowSeconds > 0.0
             ? static_cast<double>(snap.windowCompleted) /

@@ -4,24 +4,24 @@
  *
  * The StatRegistry/TraceSink pair answers "what happened" after a run
  * completes; a MetricsHub answers "what is happening" while a
- * long-lived process (`mouse_cli serve`, an Accelerator request
- * queue, a sweep) is still running.  Publishers — the serving drain
- * workers, Accelerator::submit()/poll(), the ExperimentRunner — write
- * through relaxed atomics only, so publishing never blocks and never
- * takes a lock; any thread may call snapshot() concurrently and gets
- * a coherent-enough view for monitoring (counters may be mid-update;
- * no torn doubles, no data races).
+ * long-lived serving process (`mouse_cli serve`) is still running.
+ * Its one publisher, serve::InferenceService (admission and its drain
+ * workers), writes through relaxed atomics only, so publishing never
+ * blocks and never takes a lock; any thread may call snapshot()
+ * concurrently and gets a coherent-enough view for monitoring
+ * (counters may be mid-update; no torn doubles, no data races).
  *
  * Aggregation is two-level:
  *  - lifetime totals (monotonic counters and sums since construction);
- *  - a rolling window (default 10 s) implemented as a ring of time
- *    slots.  Each slot holds its own atomic counters and geometric-
- *    bucket latency histograms (same bucketing as obs::Histogram, so
- *    percentile math matches the post-mortem registry); a slot is
- *    reclaimed by the first writer to land in its time range.  The
- *    window therefore decays in slot-sized steps, and a reclaim
- *    racing a concurrent writer may drop that writer's single sample
- *    — monitoring-grade accuracy, never a race.
+ *  - a rolling window (10 s in 16 slots) implemented as a ring of
+ *    time slots.  Each slot holds its own atomic counters and
+ *    geometric-bucket latency histograms (same bucketing as
+ *    obs::Histogram, so percentile math matches the post-mortem
+ *    registry); a slot is reclaimed by the first writer to land in
+ *    its time range.  The window therefore decays in slot-sized
+ *    steps, and a reclaim racing a concurrent writer may drop that
+ *    writer's single sample — monitoring-grade accuracy, never a
+ *    race.
  *
  * The hub deliberately stays out of every deterministic artifact:
  * serving stats, reports and traces are byte-identical with a hub
@@ -50,15 +50,6 @@
 namespace mouse::obs
 {
 
-/** Shape of the rolling window. */
-struct MetricsConfig
-{
-    /** Span of host time the windowed figures cover. */
-    double windowSeconds = 10.0;
-    /** Ring granularity; the window decays in window/slots steps. */
-    unsigned windowSlots = 16;
-};
-
 /** Windowed latency distribution summary. */
 struct LatencyQuantiles
 {
@@ -73,7 +64,7 @@ struct MetricsSnapshot
 {
     /** Host seconds since the hub was constructed. */
     double uptimeSeconds = 0.0;
-    /** Host seconds the windowed figures cover (<= configured). */
+    /** Host seconds the windowed figures cover (<= the window). */
     double windowSeconds = 0.0;
 
     // -- Lifetime totals ------------------------------------------------
@@ -123,27 +114,24 @@ struct MetricsSnapshot
 class MetricsHub
 {
   public:
-    explicit MetricsHub(const MetricsConfig &cfg = {});
+    MetricsHub();
     MetricsHub(const MetricsHub &) = delete;
     MetricsHub &operator=(const MetricsHub &) = delete;
     ~MetricsHub();
-
-    const MetricsConfig &config() const { return cfg_; }
 
     /** Host seconds since construction (the hub's timeline). */
     double now() const;
 
     // -- Publishers (any thread, lock-free) -----------------------------
 
-    /** @p n requests admitted; raises the queue-depth gauge. */
-    void recordSubmit(std::uint64_t n = 1);
+    /** One request admitted; raises the queue-depth gauge. */
+    void recordSubmit();
 
     /**
-     * One executed batch (or one async run, as a batch of one):
-     * @p size requests over @p slots offered column slots, taking
-     * @p simSeconds of simulated array time and @p energyJ, of which
-     * @p outageStallS were spent powered off across @p outages
-     * brownouts.
+     * One executed batch: @p size requests over @p slots offered
+     * column slots, taking @p simSeconds of simulated array time and
+     * @p energyJ, of which @p outageStallS were spent powered off
+     * across @p outages brownouts.
      */
     void recordBatch(unsigned size, unsigned slots, double simSeconds,
                      double energyJ, double outageStallS,
@@ -169,8 +157,6 @@ class MetricsHub
 
     Slot &slotFor(double nowS, std::uint64_t &epochOut);
 
-    MetricsConfig cfg_;
-    double slotSeconds_ = 0.0;
     std::chrono::steady_clock::time_point epoch_;
 
     // Lifetime totals.

@@ -198,8 +198,7 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
     if (cfg_.harvested) {
         rb.harvested(cfg_.harvest);
     }
-    const RequestHandle h = eng.acc.submit(rb.build());
-    RunResult res = eng.acc.wait(h);
+    const RunResult res = eng.acc.execute(rb.build());
     mouse_assert(res.ok(), "serve batch run rejected");
     const double tSim =
         ts != nullptr

@@ -531,7 +531,9 @@ TEST(TraceSink, WaveformCsvRoundTrips)
 TEST(MetricsHub, LifetimeAndWindowAccumulate)
 {
     obs::MetricsHub hub;
-    hub.recordSubmit(4);
+    for (int i = 0; i < 4; ++i) {
+        hub.recordSubmit();
+    }
     {
         const obs::MetricsSnapshot s = hub.snapshot();
         EXPECT_EQ(s.submitted, 4u);
@@ -582,7 +584,9 @@ TEST(MetricsHub, LifetimeAndWindowAccumulate)
 TEST(MetricsHub, SnapshotJsonRoundTrips)
 {
     obs::MetricsHub hub;
-    hub.recordSubmit(7);
+    for (int i = 0; i < 7; ++i) {
+        hub.recordSubmit();
+    }
     hub.recordBatch(5, 8, 1.25e-3, 3.5e-7, 2.0e-4, 11);
     for (int i = 0; i < 5; ++i) {
         hub.recordDone(1e-3 * (i + 1), 2.5e-4 * (i + 1));
@@ -643,7 +647,9 @@ TEST(MetricsHub, SnapshotJsonRoundTrips)
 TEST(MetricsHub, PrometheusExpositionNamesTheFamilies)
 {
     obs::MetricsHub hub;
-    hub.recordSubmit(2);
+    for (int i = 0; i < 2; ++i) {
+        hub.recordSubmit();
+    }
     hub.recordBatch(2, 4, 1e-3, 2e-7, 0.0, 0);
     hub.recordDone(1e-3, 5e-4);
     hub.recordDone(2e-3, 5e-4);
@@ -677,7 +683,9 @@ TEST(StallWatchdog, DetectsIdleQueueOncePerEpisode)
 {
     obs::MetricsHub hub;
     obs::StallWatchdog dog(hub, 1.0);
-    hub.recordSubmit(3);
+    for (int i = 0; i < 3; ++i) {
+        hub.recordSubmit();
+    }
     // First call seeds the progress baseline, never reports.
     EXPECT_FALSE(dog.check(0.0).has_value());
     EXPECT_FALSE(dog.check(0.5).has_value());
@@ -698,7 +706,9 @@ TEST(StallWatchdog, ClassifiesStuckDrainAndRearmsOnProgress)
 {
     obs::MetricsHub hub;
     obs::StallWatchdog dog(hub, 1.0);
-    hub.recordSubmit(2);
+    for (int i = 0; i < 2; ++i) {
+        hub.recordSubmit();
+    }
     hub.workerActive(+1);
     EXPECT_FALSE(dog.check(0.0).has_value());
     const std::optional<obs::StallReport> r1 = dog.check(1.25);

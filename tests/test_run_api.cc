@@ -100,6 +100,10 @@ TEST(RunApi, JsonCarriesStatsAndMeta)
     req.label = "json \"probe\"";
     const RunResult res = acc.execute(req);
     const std::string j = res.toJson();
+    // mouse-lint: allow(schema-constants) -- golden pin: the test
+    // hardcodes the published version on purpose, so an accidental
+    // bump of the central constant fails here.
+    EXPECT_NE(j.find("\"schema\":8"), std::string::npos);
     EXPECT_NE(j.find("\"instructions_committed\":"),
               std::string::npos);
     EXPECT_NE(j.find("\"total_energy_j\":"), std::string::npos);
@@ -362,96 +366,6 @@ TEST(RunApi, BuilderPlatformComposesWithSources)
     EXPECT_EQ(validateRunRequest(both), RunError::kNone);
     EXPECT_EQ(both.harvest.source.kind, SourceKind::kSquare);
     EXPECT_EQ(both.harvest.platform, "batteryless");
-}
-
-// -- Asynchronous submit/poll/wait ----------------------------------
-
-TEST(RunApi, SubmitWaitMatchesExecute)
-{
-    Accelerator sync(smallConfig());
-    const Program prog = adderProgram(sync);
-    sync.loadProgram(prog);
-    const RunResult direct = sync.execute(RunRequest{});
-
-    Accelerator async(smallConfig());
-    async.loadProgram(prog);
-    const RequestHandle h = async.submit(RunRequest{});
-    EXPECT_EQ(async.pendingRequests(), 1u);
-    const RunResult queued = async.wait(h);
-    EXPECT_EQ(async.pendingRequests(), 0u);
-    EXPECT_TRUE(queued.ok());
-    EXPECT_EQ(queued.stats.instructionsCommitted,
-              direct.stats.instructionsCommitted);
-    EXPECT_EQ(queued.stats.totalEnergy(),
-              direct.stats.totalEnergy());
-    // Serve metadata appears only on the async path.
-    EXPECT_FALSE(direct.serve.present);
-    EXPECT_TRUE(queued.serve.present);
-    EXPECT_EQ(queued.serve.requestId, h.id);
-    EXPECT_EQ(queued.serve.queueDepth, 0u);
-    EXPECT_GE(queued.serve.queueSeconds, 0.0);
-}
-
-TEST(RunApi, PollAdvancesQueueInSubmissionOrder)
-{
-    Accelerator acc(smallConfig());
-    acc.loadProgram(adderProgram(acc));
-    const RequestHandle h1 = acc.submit(RunRequest{});
-    const RequestHandle h2 = acc.submit(RunRequest{});
-    EXPECT_NE(h1.id, h2.id);
-    EXPECT_EQ(acc.pendingRequests(), 2u);
-
-    // Polling the *second* request first runs the first request (at
-    // most one run per poll), so the first poll comes back empty.
-    std::optional<RunResult> r2 = acc.poll(h2);
-    EXPECT_FALSE(r2.has_value());
-    EXPECT_EQ(acc.pendingRequests(), 1u);
-    r2 = acc.poll(h2);
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_EQ(r2->serve.requestId, h2.id);
-    EXPECT_EQ(r2->serve.queueDepth, 1u);
-
-    // The first result was filed and is still redeemable.
-    const std::optional<RunResult> r1 = acc.poll(h1);
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->serve.requestId, h1.id);
-    // A handle redeems at most once.
-    EXPECT_FALSE(acc.poll(h1).has_value());
-}
-
-TEST(RunApi, SubmittedInvalidRequestCarriesTypedError)
-{
-    Accelerator acc(smallConfig());
-    acc.loadProgram(adderProgram(acc));
-    RunRequest bad;
-    bad.fidelity = Fidelity::Trace;  // no trace attached
-    const RunResult res = acc.wait(acc.submit(bad));
-    EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.error, RunError::kTraceMissing);
-    EXPECT_TRUE(res.serve.present);
-}
-
-TEST(RunApi, ServeJsonBlockIsSchemaV6)
-{
-    Accelerator acc(smallConfig());
-    acc.loadProgram(adderProgram(acc));
-    const RunResult direct = acc.execute(RunRequest{});
-    // Schema 4 everywhere; the serve block only on async results.
-    // mouse-lint: allow(schema-constants) -- golden pin: the test
-    // hardcodes the published version on purpose, so an accidental
-    // bump of the central constant fails here.
-    EXPECT_NE(direct.toJson().find("\"schema\":8"),
-              std::string::npos);
-    EXPECT_EQ(direct.toJson().find("\"serve\":"),
-              std::string::npos);
-
-    const RunResult queued = acc.wait(acc.submit(RunRequest{}));
-    const std::string j = queued.toJson();
-    EXPECT_NE(j.find("\"serve\":{"), std::string::npos);
-    EXPECT_NE(j.find("\"request_id\":"), std::string::npos);
-    EXPECT_NE(j.find("\"batch_size\":"), std::string::npos);
-    EXPECT_NE(j.find("\"queue_depth\":"), std::string::npos);
-    EXPECT_NE(j.find("\"queue_seconds\":"), std::string::npos);
 }
 
 } // namespace
