@@ -1,35 +1,12 @@
 #include "run_api.hh"
 
-#include <cstdio>
-
 #include "baseline/selector.hh"
 #include "common/logging.hh"
 
 namespace mouse
 {
 
-namespace
-{
-
-/** Shortest-round-trip double formatting for machine consumers. */
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-num(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
+using json::num;
 
 const char *
 runErrorName(RunError e)
@@ -254,45 +231,13 @@ RunRequestBuilder::build() const
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 toJson(const RunStats &stats)
 {
     std::string j = "{";
     j += "\"instructions_committed\":" +
-         num(stats.instructionsCommitted);
-    j += ",\"instructions_dead\":" + num(stats.instructionsDead);
-    j += ",\"outages\":" + num(stats.outages);
+         std::to_string(stats.instructionsCommitted);
+    j += ",\"instructions_dead\":" + std::to_string(stats.instructionsDead);
+    j += ",\"outages\":" + std::to_string(stats.outages);
     j += ",\"active_time_s\":" + num(stats.activeTime);
     j += ",\"dead_time_s\":" + num(stats.deadTime);
     j += ",\"restore_time_s\":" + num(stats.restoreTime);
@@ -319,7 +264,7 @@ RunResult::toJson() const
         j += "\",";
     }
     j += "\"point\":{";
-    j += "\"index\":" + num(static_cast<std::uint64_t>(meta.index));
+    j += "\"index\":" + std::to_string(meta.index);
     j += ",\"tech\":\"" + jsonEscape(meta.tech) + "\"";
     j += ",\"benchmark\":\"" + jsonEscape(meta.benchmark) + "\"";
     j += ",\"system\":\"" + jsonEscape(meta.system) + "\"";
@@ -327,9 +272,9 @@ RunResult::toJson() const
     j += ",\"power_w\":" + num(meta.power);
     j += ",\"source\":\"" + jsonEscape(meta.source) + "\"";
     j += ",\"platform\":\"" + jsonEscape(meta.platform) + "\"";
-    j += ",\"seed\":" + num(meta.seed);
+    j += ",\"seed\":" + std::to_string(meta.seed);
     j += ",\"checkpoint_period\":" +
-         num(static_cast<std::uint64_t>(meta.checkpointPeriod));
+         std::to_string(meta.checkpointPeriod);
     j += ",\"margin\":" + num(meta.margin);
     j += ",\"label\":\"" + jsonEscape(meta.label) + "\"";
     j += "},";

@@ -23,6 +23,8 @@
 
 #include <memory>
 
+// Exposes jsonEscape() to every emitter that includes this header.
+#include "common/json.hh"
 #include "common/schema_versions.hh"
 #include "compile/program.hh"
 #include "obs/telemetry.hh"
@@ -270,9 +272,6 @@ using schema::kResultSchemaVersion;
 
 /** JSON object for a RunStats (used by RunResult::toJson). */
 std::string toJson(const RunStats &stats);
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string jsonEscape(const std::string &s);
 
 } // namespace mouse
 

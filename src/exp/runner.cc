@@ -10,6 +10,7 @@
 #include "baseline/mcu/mcu_model.hh"
 #include "baseline/selector.hh"
 #include "baseline/sonic_scheme.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "exp/names.hh"
 
@@ -301,10 +302,7 @@ SweepResult::toJson() const
     std::string j = "{";
     j += "\"schema\":" + std::to_string(kResultSchemaVersion);
     j += ",\"threads\":" + std::to_string(threads);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", wallSeconds);
-    j += ",\"wall_seconds\":";
-    j += buf;
+    j += ",\"wall_seconds\":" + json::num(wallSeconds);
     j += ",\"points\":[";
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (i > 0) {

@@ -1,9 +1,5 @@
 #include "harvest/power_trace.hh"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/schema_versions.hh"
 
 namespace mouse
@@ -12,273 +8,79 @@ namespace mouse
 namespace
 {
 
-/** Shortest %.17g rendering — strtod() round-trips it exactly, so
- *  toJson()/parsePowerTrace() compose to the identity. */
-std::string
-num(double v)
+using json::Kind;
+
+/** Walk a parsed document into @p trace; the first problem found. */
+std::optional<json::Error>
+readTrace(const json::Value &doc, PowerTrace &trace)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += c; break;
+    if (doc.kind != Kind::kObject) {
+        return json::Error{doc.line, "expected '{' (a trace document "
+                                     "is a JSON object)"};
+    }
+    const json::Value *version = doc.find("trace_schema");
+    if (version != nullptr && version->kind != Kind::kNumber) {
+        return json::Error{version->line, "expected a number"};
+    }
+    if (const json::Value *name = doc.find("name")) {
+        if (name->kind != Kind::kString) {
+            return json::Error{name->line, "expected a string"};
         }
+        trace.name = name->string;
     }
-    return out;
-}
-
-/** Hand-rolled cursor over the document text, tracking the 1-based
- *  line of every token so failures anchor to where they happened. */
-struct Cursor
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::size_t line = 1;
-    PowerTraceError err{};
-    bool failed = false;
-
-    bool
-    fail(const std::string &message)
-    {
-        if (!failed) {
-            failed = true;
-            err = {line, message};
+    const json::Value *segments = doc.find("segments");
+    if (segments != nullptr && segments->kind != Kind::kArray) {
+        return json::Error{segments->line,
+                           "expected '[' (\"segments\" is an array)"};
+    }
+    const std::vector<json::Value> none;
+    for (const json::Value &s : segments ? segments->items : none) {
+        if (s.kind != Kind::kObject) {
+            return json::Error{s.line,
+                               "expected '{' (a segment is an object)"};
         }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (c == '\n') {
-                ++line;
-            } else if (c != ' ' && c != '\t' && c != '\r') {
-                break;
-            }
-            ++pos;
-        }
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        return pos < text.size() ? text[pos] : '\0';
-    }
-
-    bool
-    consume(char want, const char *what)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != want) {
-            return fail(std::string("expected ") + what);
-        }
-        ++pos;
-        return true;
-    }
-};
-
-bool
-parseString(Cursor &c, std::string *out)
-{
-    if (!c.consume('"', "a string")) {
-        return false;
-    }
-    std::string s;
-    while (c.pos < c.text.size()) {
-        const char ch = c.text[c.pos++];
-        if (ch == '"') {
-            if (out != nullptr) {
-                *out = s;
-            }
-            return true;
-        }
-        if (ch == '\n') {
-            return c.fail("unterminated string");
-        }
-        if (ch == '\\') {
-            if (c.pos >= c.text.size()) {
-                return c.fail("unterminated string escape");
-            }
-            const char e = c.text[c.pos++];
-            switch (e) {
-            case '"': s += '"'; break;
-            case '\\': s += '\\'; break;
-            case '/': s += '/'; break;
-            case 'n': s += '\n'; break;
-            case 't': s += '\t'; break;
-            default: return c.fail("unsupported string escape");
-            }
-        } else {
-            s += ch;
-        }
-    }
-    return c.fail("unterminated string");
-}
-
-bool
-parseNumber(Cursor &c, double *out)
-{
-    c.skipWs();
-    const char *start = c.text.c_str() + c.pos;
-    char *end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-        return c.fail("expected a number");
-    }
-    c.pos += static_cast<std::size_t>(end - start);
-    if (!std::isfinite(v)) {
-        return c.fail("non-finite number");
-    }
-    *out = v;
-    return true;
-}
-
-bool skipValue(Cursor &c);
-
-bool
-skipCompound(Cursor &c, char open, char close)
-{
-    if (!c.consume(open, "a value")) {
-        return false;
-    }
-    if (c.peek() == close) {
-        ++c.pos;
-        return true;
-    }
-    while (true) {
-        if (open == '{') {
-            if (!parseString(c, nullptr) ||
-                !c.consume(':', "':' after key")) {
-                return false;
+        const json::Value *duration = s.find("duration_s");
+        const json::Value *power = s.find("power_w");
+        for (const json::Value *field : {duration, power}) {
+            if (field != nullptr && field->kind != Kind::kNumber) {
+                return json::Error{field->line, "expected a number"};
             }
         }
-        if (!skipValue(c)) {
-            return false;
-        }
-        if (c.peek() == ',') {
-            ++c.pos;
-            continue;
-        }
-        return c.consume(close, open == '{' ? "'}'" : "']'");
-    }
-}
-
-bool
-skipValue(Cursor &c)
-{
-    const char head = c.peek();
-    if (head == '"') {
-        return parseString(c, nullptr);
-    }
-    if (head == '{') {
-        return skipCompound(c, '{', '}');
-    }
-    if (head == '[') {
-        return skipCompound(c, '[', ']');
-    }
-    if (c.text.compare(c.pos, 4, "true") == 0) {
-        c.pos += 4;
-        return true;
-    }
-    if (c.text.compare(c.pos, 5, "false") == 0) {
-        c.pos += 5;
-        return true;
-    }
-    if (c.text.compare(c.pos, 4, "null") == 0) {
-        c.pos += 4;
-        return true;
-    }
-    double ignored = 0.0;
-    return parseNumber(c, &ignored);
-}
-
-bool
-parseSegments(Cursor &c, PowerTrace *trace)
-{
-    if (!c.consume('[', "'[' (\"segments\" is an array)")) {
-        return false;
-    }
-    if (c.peek() == ']') {
-        ++c.pos;
-        return true; // emptiness rejected after the full parse
-    }
-    while (true) {
-        c.skipWs();
-        const std::size_t segLine = c.line;
-        if (!c.consume('{', "'{' (a segment is an object)")) {
-            return false;
-        }
-        bool sawDuration = false;
-        bool sawPower = false;
-        TracePowerSource::Segment seg{};
-        if (c.peek() != '}') {
-            while (true) {
-                std::string key;
-                if (!parseString(c, &key) ||
-                    !c.consume(':', "':' after key")) {
-                    return false;
-                }
-                if (key == "duration_s") {
-                    if (!parseNumber(c, &seg.duration)) {
-                        return false;
-                    }
-                    sawDuration = true;
-                } else if (key == "power_w") {
-                    if (!parseNumber(c, &seg.power)) {
-                        return false;
-                    }
-                    sawPower = true;
-                } else if (!skipValue(c)) {
-                    return false;
-                }
-                if (c.peek() == ',') {
-                    ++c.pos;
-                    continue;
-                }
-                break;
-            }
-        }
-        if (!c.consume('}', "'}'")) {
-            return false;
-        }
-        const std::size_t index = trace->segments.size();
         const std::string where =
-            "segments[" + std::to_string(index) + "]";
-        if (!sawDuration || !sawPower) {
-            c.line = segLine;
-            return c.fail(where + " needs \"duration_s\" and "
-                                  "\"power_w\"");
+            "segments[" + std::to_string(trace.segments.size()) + "]";
+        if (duration == nullptr || power == nullptr) {
+            return json::Error{s.line, where + " needs \"duration_s\" "
+                                               "and \"power_w\""};
         }
-        if (seg.duration <= 0.0) {
-            c.line = segLine;
-            return c.fail(where + " has non-positive duration_s");
+        if (duration->number <= 0.0) {
+            return json::Error{s.line,
+                               where + " has non-positive duration_s"};
         }
-        if (seg.power < 0.0) {
-            c.line = segLine;
-            return c.fail(where + " has negative power_w");
+        if (power->number < 0.0) {
+            return json::Error{s.line, where + " has negative power_w"};
         }
-        trace->segments.push_back(seg);
-        if (c.peek() == ',') {
-            ++c.pos;
-            continue;
-        }
-        return c.consume(']', "']'");
+        trace.segments.push_back({duration->number, power->number});
     }
+
+    if (version == nullptr) {
+        return json::Error{1, "missing \"trace_schema\" field"};
+    }
+    if (version->number !=
+        static_cast<double>(schema::kPowerTraceSchemaVersion)) {
+        return json::Error{
+            version->line,
+            "unsupported trace_schema " + json::num(version->number) +
+                " (this build reads version " +
+                std::to_string(schema::kPowerTraceSchemaVersion) + ")"};
+    }
+    if (segments == nullptr) {
+        return json::Error{1, "missing \"segments\" field"};
+    }
+    if (trace.segments.empty()) {
+        return json::Error{segments->line,
+                           "\"segments\" must not be empty"};
+    }
+    return std::nullopt;
 }
 
 } // namespace
@@ -318,8 +120,8 @@ PowerTrace::toJson() const
         if (i > 0) {
             j += ",";
         }
-        j += "{\"duration_s\":" + num(segments[i].duration);
-        j += ",\"power_w\":" + num(segments[i].power) + "}";
+        j += "{\"duration_s\":" + json::num(segments[i].duration);
+        j += ",\"power_w\":" + json::num(segments[i].power) + "}";
     }
     j += "]}";
     return j;
@@ -328,95 +130,20 @@ PowerTrace::toJson() const
 std::optional<PowerTrace>
 parsePowerTrace(const std::string &text, PowerTraceError *err)
 {
-    Cursor c{text};
+    PowerTraceError why;
+    const std::optional<json::Value> doc = json::parse(text, &why);
     PowerTrace trace;
-    bool sawSchema = false;
-    bool sawSegments = false;
-    double schemaVersion = 0.0;
-    std::size_t schemaLine = 1;
-    std::size_t segmentsLine = 1;
-
-    const auto failed = [&]() -> std::optional<PowerTrace> {
-        if (err != nullptr) {
-            *err = c.failed ? c.err
-                            : PowerTraceError{c.line,
-                                              "malformed document"};
+    if (doc) {
+        const std::optional<json::Error> bad = readTrace(*doc, trace);
+        if (!bad) {
+            return trace;
         }
-        return std::nullopt;
-    };
-
-    if (!c.consume('{', "'{' (a trace document is a JSON object)")) {
-        return failed();
+        why = *bad;
     }
-    if (c.peek() != '}') {
-        while (true) {
-            c.skipWs();
-            const std::size_t keyLine = c.line;
-            std::string key;
-            if (!parseString(c, &key) ||
-                !c.consume(':', "':' after key")) {
-                return failed();
-            }
-            if (key == "trace_schema") {
-                if (!parseNumber(c, &schemaVersion)) {
-                    return failed();
-                }
-                sawSchema = true;
-                schemaLine = keyLine;
-            } else if (key == "name") {
-                if (!parseString(c, &trace.name)) {
-                    return failed();
-                }
-            } else if (key == "segments") {
-                sawSegments = true;
-                segmentsLine = keyLine;
-                if (!parseSegments(c, &trace)) {
-                    return failed();
-                }
-            } else if (!skipValue(c)) {
-                return failed();
-            }
-            if (c.peek() == ',') {
-                ++c.pos;
-                continue;
-            }
-            break;
-        }
+    if (err != nullptr) {
+        *err = why;
     }
-    if (!c.consume('}', "'}'")) {
-        return failed();
-    }
-    c.skipWs();
-    if (c.pos < text.size()) {
-        c.fail("trailing content after the document");
-        return failed();
-    }
-
-    if (!sawSchema) {
-        c.line = 1;
-        c.fail("missing \"trace_schema\" field");
-        return failed();
-    }
-    if (schemaVersion !=
-        static_cast<double>(schema::kPowerTraceSchemaVersion)) {
-        c.line = schemaLine;
-        c.fail("unsupported trace_schema " + num(schemaVersion) +
-               " (this build reads version " +
-               std::to_string(schema::kPowerTraceSchemaVersion) +
-               ")");
-        return failed();
-    }
-    if (!sawSegments) {
-        c.line = 1;
-        c.fail("missing \"segments\" field");
-        return failed();
-    }
-    if (trace.segments.empty()) {
-        c.line = segmentsLine;
-        c.fail("\"segments\" must not be empty");
-        return failed();
-    }
-    return trace;
+    return std::nullopt;
 }
 
 } // namespace mouse

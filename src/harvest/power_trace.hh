@@ -19,11 +19,11 @@
 #ifndef MOUSE_HARVEST_POWER_TRACE_HH
 #define MOUSE_HARVEST_POWER_TRACE_HH
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "harvest/power_source.hh"
 
@@ -48,15 +48,11 @@ struct PowerTrace
 };
 
 /** Why a document failed to parse, anchored to a 1-based line. */
-struct PowerTraceError
-{
-    std::size_t line = 1;
-    std::string message;
-};
+using PowerTraceError = json::Error;
 
 /**
  * Parse a trace document.  Tolerates whitespace and unknown keys;
- * rejects structural errors, a missing or unsupported
+ * rejects anything json::parse() rejects, a missing or unsupported
  * "trace_schema", empty segment lists, non-positive durations and
  * negative powers.  On failure returns nullopt and fills @p err
  * (when given) with the offending line.

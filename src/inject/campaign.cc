@@ -1,8 +1,8 @@
 #include "campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/run_api.hh"
@@ -17,13 +17,7 @@ namespace mouse::inject
 namespace
 {
 
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::num;
 
 constexpr std::array<MicroStep, 4> kAllSteps{
     MicroStep::kFetch,

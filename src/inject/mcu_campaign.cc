@@ -70,12 +70,6 @@ runCuts(const mcu::McuProgram &prog, const mcu::EhScheme &scheme,
     return replayed > 0 ? Verdict::kReexecuted : Verdict::kMatch;
 }
 
-std::string
-num(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
 } // namespace
 
 McuCampaignReport
@@ -151,10 +145,10 @@ McuCampaignReport::toJson() const
     j += ",\"report\":\"mcu_campaign\"";
     j += ",\"workload\":\"" + jsonEscape(workload) + "\"";
     j += ",\"scheme\":\"" + jsonEscape(scheme) + "\"";
-    j += ",\"total_ops\":" + num(totalOps);
-    j += ",\"points\":" + num(points);
-    j += ",\"replays\":" + num(replays);
-    j += ",\"mismatches\":" + num(mismatches);
+    j += ",\"total_ops\":" + std::to_string(totalOps);
+    j += ",\"points\":" + std::to_string(points);
+    j += ",\"replays\":" + std::to_string(replays);
+    j += ",\"mismatches\":" + std::to_string(mismatches);
     j += ",\"verdicts\":{";
     for (std::size_t v = 0; v < kNumVerdicts; ++v) {
         if (v > 0) {
@@ -162,7 +156,7 @@ McuCampaignReport::toJson() const
         }
         j += "\"";
         j += verdictName(static_cast<Verdict>(v));
-        j += "\":" + num(verdicts[v]);
+        j += "\":" + std::to_string(verdicts[v]);
     }
     j += "}";
     j += ",\"clean\":";

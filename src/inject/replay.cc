@@ -1,66 +1,11 @@
 #include "replay.hh"
 
+#include "common/json.hh"
 #include "core/run_api.hh"
 #include "inject/idempotence.hh"
 
 namespace mouse::inject
 {
-
-namespace
-{
-
-/** Extract the balanced {...} object starting at text[pos] == '{';
- *  empty string when unbalanced. */
-std::string
-extractObject(const std::string &text, std::size_t pos)
-{
-    if (pos >= text.size() || text[pos] != '{') {
-        return "";
-    }
-    int depth = 0;
-    bool inString = false;
-    for (std::size_t i = pos; i < text.size(); ++i) {
-        const char c = text[i];
-        if (inString) {
-            if (c == '\\') {
-                ++i;
-            } else if (c == '"') {
-                inString = false;
-            }
-            continue;
-        }
-        if (c == '"') {
-            inString = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                return text.substr(pos, i - pos + 1);
-            }
-        }
-    }
-    return "";
-}
-
-/** Value start position of the first `"key":` occurrence. */
-std::size_t
-findValue(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) {
-        return std::string::npos;
-    }
-    std::size_t pos = at + needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' ||
-            text[pos] == '\n' || text[pos] == '\r')) {
-        ++pos;
-    }
-    return pos;
-}
-
-} // namespace
 
 std::string
 replayArtifactJson(const std::string &workload,
@@ -77,38 +22,34 @@ replayArtifactJson(const std::string &workload,
 std::optional<ReplayArtifact>
 parseReplayArtifact(const std::string &text)
 {
-    ReplayArtifact art;
-
-    std::size_t pos = findValue(text, "workload");
-    if (pos == std::string::npos || pos >= text.size() ||
-        text[pos] != '"') {
+    const std::optional<json::Value> doc = json::parse(text);
+    if (!doc) {
         return std::nullopt;
     }
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos) {
+    const json::Value *workload = doc->find("workload");
+    if (workload == nullptr || workload->kind != json::Kind::kString) {
         return std::nullopt;
     }
-    art.workload = text.substr(pos + 1, end - pos - 1);
-
-    // A campaign report's shortest reproducer is its first shrunk
-    // schedule; a standalone artifact has only "schedule".
-    std::size_t sched = findValue(text, "shrunk");
-    if (sched == std::string::npos) {
-        sched = findValue(text, "schedule");
+    // A campaign report's shortest reproducer is its first failure's
+    // shrunk schedule; a standalone artifact has only "schedule".
+    const json::Value *schedule = nullptr;
+    if (const json::Value *failures = doc->find("failures");
+        failures != nullptr && failures->kind == json::Kind::kArray &&
+        !failures->items.empty()) {
+        schedule = failures->items[0].find("shrunk");
     }
-    if (sched == std::string::npos) {
+    if (schedule == nullptr) {
+        schedule = doc->find("schedule");
+    }
+    if (schedule == nullptr) {
         return std::nullopt;
     }
-    const std::string obj = extractObject(text, sched);
-    if (obj.empty()) {
-        return std::nullopt;
-    }
-    auto parsed = OutageSchedule::fromJson(obj);
+    std::optional<OutageSchedule> parsed =
+        OutageSchedule::fromJson(*schedule);
     if (!parsed) {
         return std::nullopt;
     }
-    art.schedule = std::move(*parsed);
-    return art;
+    return ReplayArtifact{workload->string, std::move(*parsed)};
 }
 
 PointOutcome

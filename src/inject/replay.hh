@@ -34,9 +34,10 @@ std::string replayArtifactJson(const std::string &workload,
 
 /**
  * Parse @p text as a replay artifact.  Accepts a standalone
- * artifact or a campaign report; in the latter the first "shrunk"
- * schedule wins (falling back to the first "schedule").  Returns
- * nullopt when no workload name or schedule can be found.
+ * artifact or a campaign report: the schedule is failures[0].shrunk
+ * when there is one, else the top-level "schedule".  Returns nullopt
+ * when the text is not JSON or has no string "workload" or no valid
+ * schedule.
  */
 std::optional<ReplayArtifact>
 parseReplayArtifact(const std::string &text);

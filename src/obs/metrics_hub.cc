@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <type_traits>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/schema_versions.hh"
 
@@ -21,13 +21,7 @@ constexpr double kWindowSeconds = 10.0;
 constexpr unsigned kWindowSlots = 16;
 constexpr double kSlotSeconds = kWindowSeconds / kWindowSlots;
 
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::num;
 
 /** Same geometric bucketing as obs::Histogram, over atomics. */
 int
@@ -387,8 +381,7 @@ MetricsHub::snapshot() const
 
 // -- Serialization ----------------------------------------------------
 //
-// fromJson() scans for the keys in the exact order toJson() emits
-// them, so the two stay a strict round-trip pair; extend both
+// toJson() and fromJson() are a strict round-trip pair; extend both
 // together (and docs/OBSERVABILITY.md's format table).
 
 std::string
@@ -520,120 +513,75 @@ MetricsSnapshot::toPrometheus() const
     return p;
 }
 
-namespace
-{
-
-/** Find '"key":' at/after @p pos and parse the number behind it. */
-bool
-scanNumber(const std::string &text, const char *key,
-           std::size_t &pos, double &out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = text.find(needle, pos);
-    if (at == std::string::npos) {
-        return false;
-    }
-    const char *start = text.c_str() + at + needle.size();
-    char *end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) {
-        return false;
-    }
-    pos = static_cast<std::size_t>(end - text.c_str());
-    return true;
-}
-
-} // namespace
-
 std::optional<MetricsSnapshot>
 MetricsSnapshot::fromJson(const std::string &text)
 {
-    std::size_t pos = 0;
-    double v = 0.0;
-    if (!scanNumber(text, "metrics_schema", pos, v) ||
-        v != schema::kMetricsSchemaVersion) {
+    const std::optional<json::Value> doc = json::parse(text);
+    if (!doc) {
         return std::nullopt;
     }
-    MetricsSnapshot s;
-    auto u64 = [](double d) {
-        return d > 0.0 ? static_cast<std::uint64_t>(d + 0.5) : 0;
+    const json::Value none;
+    const auto member = [&none](const json::Value &obj,
+                                const char *key) -> const json::Value & {
+        const json::Value *v = obj.find(key);
+        return v != nullptr ? *v : none;
     };
-    // Keys scanned in toJson() emission order; "lifetime" keys come
-    // before the same-named "window" keys.
-    if (!scanNumber(text, "uptime_s", pos, s.uptimeSeconds) ||
-        !scanNumber(text, "window_s", pos, s.windowSeconds) ||
-        !scanNumber(text, "submitted", pos, v)) {
-        return std::nullopt;
-    }
-    s.submitted = u64(v);
-    if (!scanNumber(text, "completed", pos, v)) {
-        return std::nullopt;
-    }
-    s.completed = u64(v);
-    if (!scanNumber(text, "batches", pos, v)) {
-        return std::nullopt;
-    }
-    s.batches = u64(v);
-    if (!scanNumber(text, "queue_depth", pos, v)) {
-        return std::nullopt;
-    }
-    s.queueDepth = static_cast<std::int64_t>(v);
-    if (!scanNumber(text, "active_workers", pos, v)) {
-        return std::nullopt;
-    }
-    s.activeWorkers = static_cast<std::uint32_t>(u64(v));
-    if (!scanNumber(text, "slots_total", pos, v)) {
-        return std::nullopt;
-    }
-    s.slotsTotal = u64(v);
-    if (!scanNumber(text, "slots_used", pos, v)) {
-        return std::nullopt;
-    }
-    s.slotsUsed = u64(v);
-    if (!scanNumber(text, "outages", pos, v)) {
-        return std::nullopt;
-    }
-    s.outages = u64(v);
-    if (!scanNumber(text, "stall_warnings", pos, v)) {
-        return std::nullopt;
-    }
-    s.stallWarnings = u64(v);
-    if (!scanNumber(text, "sim_seconds", pos, s.simSeconds) ||
-        !scanNumber(text, "energy_j", pos, s.energyJoules) ||
-        !scanNumber(text, "outage_stall_s", pos,
-                    s.outageStallSeconds) ||
-        !scanNumber(text, "throughput_per_s", pos,
-                    s.throughputPerS) ||
-        !scanNumber(text, "completed", pos, v)) {
-        return std::nullopt;
-    }
-    s.windowCompleted = u64(v);
-    if (!scanNumber(text, "batches", pos, v)) {
-        return std::nullopt;
-    }
-    s.windowBatches = u64(v);
-    if (!scanNumber(text, "throughput_per_s", pos,
-                    s.windowThroughputPerS) ||
-        !scanNumber(text, "batch_occupancy", pos,
-                    s.windowOccupancy) ||
-        !scanNumber(text, "energy_per_request_j", pos,
-                    s.windowEnergyPerRequestJ) ||
-        !scanNumber(text, "outage_stall_s", pos,
-                    s.windowOutageStallSeconds)) {
-        return std::nullopt;
-    }
-    auto latency = [&](LatencyQuantiles &q) {
-        double c = 0.0;
-        if (!scanNumber(text, "count", pos, c) ||
-            !scanNumber(text, "p50", pos, q.p50) ||
-            !scanNumber(text, "p95", pos, q.p95) ||
-            !scanNumber(text, "p99", pos, q.p99)) {
-            return false;
+    // Every field is required: a number for a double, an exact
+    // in-range integer for a count.
+    bool ok = true;
+    const auto read = [&](const json::Value &obj, const char *key,
+                          auto &out) {
+        using T = std::remove_reference_t<decltype(out)>;
+        const json::Value &v = member(obj, key);
+        if constexpr (std::is_floating_point_v<T>) {
+            ok = ok && v.kind == json::Kind::kNumber;
+            out = v.number;
+        } else {
+            constexpr auto hi = static_cast<std::int64_t>(
+                std::min<std::uint64_t>(std::numeric_limits<T>::max(),
+                                        json::kMaxExactInteger));
+            const auto n =
+                json::integer(v, std::numeric_limits<T>::min(), hi);
+            ok = ok && n.has_value();
+            out = static_cast<T>(n.value_or(0));
         }
-        q.count = u64(c);
-        return true;
     };
-    if (!latency(s.hostLatency) || !latency(s.simLatency)) {
+
+    double version = 0.0;
+    read(*doc, "metrics_schema", version);
+    const json::Value &life = member(*doc, "lifetime");
+    const json::Value &window = member(*doc, "window");
+    MetricsSnapshot s;
+    read(*doc, "uptime_s", s.uptimeSeconds);
+    read(*doc, "window_s", s.windowSeconds);
+    read(life, "submitted", s.submitted);
+    read(life, "completed", s.completed);
+    read(life, "batches", s.batches);
+    read(life, "queue_depth", s.queueDepth);
+    read(life, "active_workers", s.activeWorkers);
+    read(life, "slots_total", s.slotsTotal);
+    read(life, "slots_used", s.slotsUsed);
+    read(life, "outages", s.outages);
+    read(life, "stall_warnings", s.stallWarnings);
+    read(life, "sim_seconds", s.simSeconds);
+    read(life, "energy_j", s.energyJoules);
+    read(life, "outage_stall_s", s.outageStallSeconds);
+    read(life, "throughput_per_s", s.throughputPerS);
+    read(window, "completed", s.windowCompleted);
+    read(window, "batches", s.windowBatches);
+    read(window, "throughput_per_s", s.windowThroughputPerS);
+    read(window, "batch_occupancy", s.windowOccupancy);
+    read(window, "energy_per_request_j", s.windowEnergyPerRequestJ);
+    read(window, "outage_stall_s", s.windowOutageStallSeconds);
+    for (const auto &[key, q] : {std::pair{"host_latency_s", &s.hostLatency},
+                                 std::pair{"sim_latency_s", &s.simLatency}}) {
+        const json::Value &latency = member(window, key);
+        read(latency, "count", q->count);
+        read(latency, "p50", q->p50);
+        read(latency, "p95", q->p95);
+        read(latency, "p99", q->p99);
+    }
+    if (!ok || version != schema::kMetricsSchemaVersion) {
         return std::nullopt;
     }
     return s;

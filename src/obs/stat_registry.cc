@@ -2,39 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse::obs
 {
 
-namespace
-{
-
-/** Shortest-round-trip formatting; JSON has no NaN/Inf literals. */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v)) {
-        return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-num(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
+using json::num;
 
 void
 Scalar::observe(double v)
@@ -300,7 +276,7 @@ namespace
 std::string
 histogramJson(const Histogram &h)
 {
-    std::string j = "{\"count\":" + num(h.count());
+    std::string j = "{\"count\":" + std::to_string(h.count());
     j += ",\"sum\":" + num(h.sum());
     j += ",\"min\":" + num(h.min());
     j += ",\"max\":" + num(h.max());
@@ -356,7 +332,7 @@ StatRegistry::toJson() const
         j += "\"" + parts.back() + "\":";
         switch (e.kind) {
           case Entry::Kind::kCounter:
-            j += num(e.counter->value());
+            j += std::to_string(e.counter->value());
             break;
           case Entry::Kind::kScalar:
             j += num(e.scalar->value());
@@ -385,7 +361,7 @@ StatRegistry::toCsv() const
         csv += name;
         switch (e.kind) {
           case Entry::Kind::kCounter:
-            csv += ",counter," + num(e.counter->value()) +
+            csv += ",counter," + std::to_string(e.counter->value()) +
                    ",,,,,,,,";
             break;
           case Entry::Kind::kScalar:
@@ -398,7 +374,7 @@ StatRegistry::toCsv() const
             break;
           case Entry::Kind::kHistogram: {
             const Histogram &h = *e.histogram;
-            csv += ",histogram,," + num(h.count()) + "," +
+            csv += ",histogram,," + std::to_string(h.count()) + "," +
                    num(h.sum()) + "," + num(h.min()) + "," +
                    num(h.max()) + "," + num(h.mean()) + "," +
                    num(h.percentile(0.5)) + "," +

@@ -1,7 +1,6 @@
 #include "trace_sink.hh"
 
-#include <cmath>
-#include <cstdio>
+#include "common/json.hh"
 
 namespace mouse::obs
 {
@@ -12,16 +11,7 @@ namespace
 constexpr std::size_t kDefaultMaxEvents = 1u << 20;
 constexpr std::size_t kDefaultMaxSamples = 1u << 20;
 
-std::string
-num(double v)
-{
-    if (!std::isfinite(v)) {
-        return v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::num;
 
 } // namespace
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <deque>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mouse::serve
@@ -14,13 +14,7 @@ namespace mouse::serve
 namespace
 {
 
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+using json::num;
 
 /** Exact percentile over a copy (nearest-rank interpolation). */
 double

@@ -33,12 +33,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sim/simulator.hh"
@@ -134,7 +134,7 @@ class SimProbe
         offSince_ = off;
         if (wantsEvents()) {
             sink_->complete("dead_attempt", "exec", t, attemptDur,
-                            "{\"wasted_j\":" + jnum(wasted) + "}");
+                            "{\"wasted_j\":" + json::num(wasted) + "}");
             sink_->instant("power_off", "power", offSince_);
             sink_->counter("power_state", "power", offSince_, 0.0);
         }
@@ -146,7 +146,7 @@ class SimProbe
     {
         if (wantsEvents()) {
             sink_->complete("backup", "power", t0, dur,
-                            "{\"energy_j\":" + jnum(energy) + "}");
+                            "{\"energy_j\":" + json::num(energy) + "}");
         }
     }
 
@@ -195,7 +195,7 @@ class SimProbe
         }
         if (wantsEvents()) {
             sink_->complete("restore", "power", t0, dur,
-                            "{\"energy_j\":" + jnum(energy) + "}");
+                            "{\"energy_j\":" + json::num(energy) + "}");
         }
     }
 
@@ -325,14 +325,6 @@ class SimProbe
     }
 
   private:
-    static std::string
-    jnum(double v)
-    {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return buf;
-    }
-
     obs::TraceConfig cfg_{};
     obs::StatRegistry *reg_ = nullptr;
     obs::TraceSink *sink_ = nullptr;

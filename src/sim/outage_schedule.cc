@@ -1,9 +1,8 @@
 #include "outage_schedule.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 namespace mouse
 {
@@ -85,249 +84,77 @@ OutageSchedule::toJson() const
         if (i > 0) {
             j += ",";
         }
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"attempt\":%llu,\"step\":\"%s\","
-                      "\"fraction\":%.17g}",
-                      static_cast<unsigned long long>(
-                          points[i].attempt),
-                      microStepName(points[i].step),
-                      points[i].fraction);
-        j += buf;
+        j += "{\"attempt\":" + std::to_string(points[i].attempt);
+        j += ",\"step\":\"";
+        j += microStepName(points[i].step);
+        j += "\",\"fraction\":" + json::num(points[i].fraction) + "}";
     }
     j += "]}";
     return j;
 }
 
-namespace
-{
-
-/**
- * Minimal scanner for the schedule's own JSON dialect: flat keys,
- * numbers, booleans, one array of flat objects.  Not a general JSON
- * parser — it only needs to read back what toJson() writes (plus
- * whitespace and unknown scalar keys).
- */
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(const std::string &text)
-        : text_(text), pos_(0)
-    {
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipWs();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    readString(std::string &out)
-    {
-        if (!consume('"')) {
-            return false;
-        }
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-                ++pos_;
-            }
-            out += text_[pos_++];
-        }
-        return consume('"');
-    }
-
-    bool
-    readNumber(double &out)
-    {
-        skipWs();
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        out = std::strtod(start, &end);
-        if (end == start) {
-            return false;
-        }
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool
-    readBool(bool &out)
-    {
-        skipWs();
-        if (text_.compare(pos_, 4, "true") == 0) {
-            out = true;
-            pos_ += 4;
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            out = false;
-            pos_ += 5;
-            return true;
-        }
-        return false;
-    }
-
-    /** Skip one scalar value (string, number, or boolean). */
-    bool
-    skipScalar()
-    {
-        skipWs();
-        std::string s;
-        double d;
-        bool b;
-        if (peek('"')) {
-            return readString(s);
-        }
-        if (readBool(b)) {
-            return true;
-        }
-        return readNumber(d);
-    }
-
-  private:
-    const std::string &text_;
-    std::size_t pos_;
-};
-
-bool
-parseOutage(JsonScanner &sc, OutagePoint &p)
-{
-    if (!sc.consume('{')) {
-        return false;
-    }
-    bool first = true;
-    while (!sc.peek('}')) {
-        if (!first && !sc.consume(',')) {
-            return false;
-        }
-        first = false;
-        std::string key;
-        if (!sc.readString(key) || !sc.consume(':')) {
-            return false;
-        }
-        if (key == "attempt") {
-            double v;
-            if (!sc.readNumber(v) || v < 0.0) {
-                return false;
-            }
-            p.attempt = static_cast<std::uint64_t>(v);
-        } else if (key == "step") {
-            std::string name;
-            if (!sc.readString(name)) {
-                return false;
-            }
-            const auto step = parseMicroStep(name);
-            if (!step) {
-                return false;
-            }
-            p.step = *step;
-        } else if (key == "fraction") {
-            double v;
-            if (!sc.readNumber(v) || v < 0.0 || v > 1.0) {
-                return false;
-            }
-            p.fraction = v;
-        } else if (!sc.skipScalar()) {
-            return false;
-        }
-    }
-    return sc.consume('}');
-}
-
-} // namespace
-
 std::optional<OutageSchedule>
 OutageSchedule::fromJson(const std::string &text)
 {
-    JsonScanner sc(text);
-    OutageSchedule sched;
-    if (!sc.consume('{')) {
+    const std::optional<json::Value> doc = json::parse(text);
+    if (!doc) {
         return std::nullopt;
     }
-    bool first = true;
-    while (!sc.peek('}')) {
-        if (!first && !sc.consume(',')) {
-            return std::nullopt;
+    return fromJson(*doc);
+}
+
+std::optional<OutageSchedule>
+OutageSchedule::fromJson(const json::Value &doc)
+{
+    using json::Kind;
+    constexpr std::int64_t kMaxU32 =
+        std::numeric_limits<std::uint32_t>::max();
+    // Absent fields keep their defaults; a present one must be valid.
+    bool ok = doc.kind == Kind::kObject;
+    const auto count = [&ok](const json::Value *v, std::int64_t lo,
+                             std::int64_t hi, auto &out) {
+        if (v != nullptr) {
+            const std::optional<std::int64_t> n = json::integer(*v, lo, hi);
+            ok = ok && n.has_value();
+            out = static_cast<std::remove_reference_t<decltype(out)>>(
+                n.value_or(lo));
         }
-        first = false;
-        std::string key;
-        if (!sc.readString(key) || !sc.consume(':')) {
-            return std::nullopt;
-        }
-        if (key == "checkpoint_period") {
-            double v;
-            if (!sc.readNumber(v) || v < 1.0) {
-                return std::nullopt;
-            }
-            sched.checkpointPeriod = static_cast<unsigned>(v);
-        } else if (key == "restore_journal") {
-            if (!sc.readBool(sched.restoreJournal)) {
-                return std::nullopt;
-            }
-        } else if (key == "checkpoints") {
-            if (!sc.consume('[')) {
-                return std::nullopt;
-            }
-            while (!sc.peek(']')) {
-                if (!sched.checkpoints.empty() &&
-                    !sc.consume(',')) {
-                    return std::nullopt;
-                }
-                double v;
-                if (!sc.readNumber(v) || v < 0.0) {
-                    return std::nullopt;
-                }
-                sched.checkpoints.push_back(
-                    static_cast<std::uint32_t>(v));
-            }
-            if (!sc.consume(']')) {
-                return std::nullopt;
-            }
-        } else if (key == "outages") {
-            if (!sc.consume('[')) {
-                return std::nullopt;
-            }
-            while (!sc.peek(']')) {
-                if (!sched.points.empty() && !sc.consume(',')) {
-                    return std::nullopt;
-                }
-                OutagePoint p;
-                if (!parseOutage(sc, p)) {
-                    return std::nullopt;
-                }
-                sched.points.push_back(p);
-            }
-            if (!sc.consume(']')) {
-                return std::nullopt;
-            }
-        } else if (!sc.skipScalar()) {
-            return std::nullopt;
+    };
+
+    OutageSchedule sched;
+    count(doc.find("checkpoint_period"), 1, kMaxU32,
+          sched.checkpointPeriod);
+    if (const json::Value *v = doc.find("restore_journal")) {
+        ok = ok && v->kind == Kind::kBool;
+        sched.restoreJournal = v->boolean;
+    }
+    if (const json::Value *v = doc.find("checkpoints")) {
+        ok = ok && v->kind == Kind::kArray;
+        for (const json::Value &c : v->items) {
+            count(&c, 0, kMaxU32, sched.checkpoints.emplace_back());
         }
     }
-    if (!sc.consume('}')) {
+    if (const json::Value *v = doc.find("outages")) {
+        ok = ok && v->kind == Kind::kArray;
+        for (const json::Value &o : v->items) {
+            OutagePoint &p = sched.points.emplace_back();
+            ok = ok && o.kind == Kind::kObject;
+            count(o.find("attempt"), 0, json::kMaxExactInteger, p.attempt);
+            if (const json::Value *step = o.find("step")) {
+                // A non-string step has an empty string: no such step.
+                const std::optional<MicroStep> named =
+                    parseMicroStep(step->string);
+                ok = ok && named.has_value();
+                p.step = named.value_or(p.step);
+            }
+            if (const json::Value *f = o.find("fraction")) {
+                ok = ok && f->kind == Kind::kNumber && f->number >= 0.0 &&
+                     f->number <= 1.0;
+                p.fraction = f->number;
+            }
+        }
+    }
+    if (!ok) {
         return std::nullopt;
     }
     sched.normalize();

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "controller/controller.hh"
 
 namespace mouse
@@ -87,11 +88,17 @@ struct OutageSchedule
     std::string toJson() const;
 
     /**
-     * Parse a toJson() document (tolerates surrounding whitespace
-     * and unknown keys).  Returns nullopt on malformed input.
+     * Parse a toJson() document (tolerates whitespace and unknown
+     * keys).  Returns nullopt on malformed input: anything
+     * json::parse() rejects, a wrongly typed field, or a count that is
+     * not an exact integer in its field's range.
      */
     static std::optional<OutageSchedule>
     fromJson(const std::string &text);
+
+    /** fromJson() over a parsed value, e.g. a replay artifact's. */
+    static std::optional<OutageSchedule>
+    fromJson(const json::Value &doc);
 };
 
 /** Stable wire name of a micro-step ("fetch", "execute", ...). */

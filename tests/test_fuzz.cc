@@ -5,12 +5,26 @@
  * must leave identical array contents.  This is the repository's
  * broadest statement of the paper's correctness guarantee — it
  * quantifies over programs, not just hand-written kernels.
+ *
+ * The document readers that feed those proofs (power traces, outage
+ * schedules, replay artifacts and campaign reports, metrics snapshots)
+ * are fuzzed too, with seeded mutations of valid documents.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
+
 #include "common/rng.hh"
 #include "core/accelerator.hh"
+#include "harvest/power_trace.hh"
+#include "harvest/trace_corpus.hh"
+#include "inject/campaign.hh"
+#include "inject/replay.hh"
+#include "obs/metrics_hub.hh"
+#include "sim/outage_schedule.hh"
 
 namespace mouse
 {
@@ -217,6 +231,141 @@ TEST(Fuzz, ReplayingAnyPrefixTwiceIsIdempotent)
                   replayed.grid().tile(1).snapshot())
             << "trial " << trial;
     }
+}
+
+// -- Document readers ---------------------------------------------------
+
+/** One reader under fuzz: the re-emitted document of what it accepted,
+ *  nullopt when it rejected the text. */
+using Reread = std::function<std::optional<std::string>(const std::string &)>;
+
+/** Seeded byte flips, deletions, insertions and truncations. */
+std::string
+mutate(std::string text, Rng &rng)
+{
+    static const std::string kBytes = "{}[]\",:-+.0123456789eE\\u \n";
+    const int edits = static_cast<int>(rng.between(1, 4));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+        const std::size_t at = rng.below(text.size());
+        switch (rng.below(4)) {
+          case 0:
+            text[at] = static_cast<char>(text[at] ^ (1u << rng.below(8)));
+            break;
+          case 1:
+            text.erase(at, 1 + rng.below(8));
+            break;
+          case 2:
+            text.insert(at, 1,
+                        rng.chance(0.8)
+                            ? kBytes[rng.below(kBytes.size())]
+                            : static_cast<char>(rng.below(256)));
+            break;
+          default:
+            text.resize(at);
+            break;
+        }
+    }
+    return text;
+}
+
+/** Every mutant is rejected or accepted without crashing, and what is
+ *  accepted re-emits to a document that reads back to itself. */
+void
+fuzzReader(const char *format, const std::string &valid,
+           const Reread &reread, std::uint64_t seed)
+{
+    const std::optional<std::string> canonical = reread(valid);
+    ASSERT_TRUE(canonical.has_value()) << format;
+    Rng rng(seed);
+    int accepted = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text = mutate(valid, rng);
+        const std::optional<std::string> once = reread(text);
+        if (!once) {
+            continue;
+        }
+        ++accepted;
+        const std::optional<std::string> twice = reread(*once);
+        ASSERT_TRUE(twice.has_value())
+            << format << " mutant " << i << " re-emitted as " << *once;
+        ASSERT_EQ(*twice, *once) << format << " mutant " << i;
+    }
+    // Some edits (inside numbers and strings) keep the document valid.
+    EXPECT_GT(accepted, 0) << format;
+}
+
+TEST(DocumentFuzz, PowerTraceReader)
+{
+    fuzzReader(
+        "power trace", corpusTrace("rf-bursty")->toJson(),
+        [](const std::string &text) -> std::optional<std::string> {
+            PowerTraceError err;
+            const auto trace = parsePowerTrace(text, &err);
+            if (!trace) {
+                EXPECT_GE(err.line, 1u);
+                EXPECT_FALSE(err.message.empty());
+                return std::nullopt;
+            }
+            return trace->toJson();
+        },
+        11);
+}
+
+TEST(DocumentFuzz, OutageScheduleReader)
+{
+    OutageSchedule s;
+    s.checkpointPeriod = 4;
+    s.checkpoints = {0, 3, 9};
+    s.points = {{2, MicroStep::kFetch, 0.25},
+                {7, MicroStep::kCommit, 1.0},
+                {12, MicroStep::kWritePc, 0.5}};
+    fuzzReader(
+        "outage schedule", s.toJson(),
+        [](const std::string &text) -> std::optional<std::string> {
+            const auto sched = OutageSchedule::fromJson(text);
+            return sched ? std::optional(sched->toJson()) : std::nullopt;
+        },
+        12);
+}
+
+TEST(DocumentFuzz, CampaignReportReader)
+{
+    const auto w = inject::makeCampaignWorkload("gates");
+    ASSERT_TRUE(w.has_value());
+    inject::CampaignConfig cfg;
+    cfg.restoreJournal = false;
+    cfg.fractions = {0.5};
+    cfg.maxFailuresKept = 2;
+    const inject::CampaignReport report = inject::runCampaign(*w, cfg);
+    ASSERT_FALSE(report.failures.empty());
+    fuzzReader(
+        "campaign report", report.toJson(),
+        [](const std::string &text) -> std::optional<std::string> {
+            const auto art = inject::parseReplayArtifact(text);
+            return art ? std::optional(inject::replayArtifactJson(
+                             art->workload, art->schedule))
+                       : std::nullopt;
+        },
+        13);
+}
+
+TEST(DocumentFuzz, MetricsSnapshotReader)
+{
+    obs::MetricsHub hub;
+    for (int i = 0; i < 9; ++i) {
+        hub.recordSubmit();
+    }
+    hub.recordBatch(6, 8, 1.5e-3, 2.5e-7, 1.0e-4, 3);
+    for (int i = 0; i < 6; ++i) {
+        hub.recordDone(1e-3 * (i + 1), 2.5e-4 * (i + 1));
+    }
+    fuzzReader(
+        "metrics snapshot", hub.snapshot().toJson(),
+        [](const std::string &text) -> std::optional<std::string> {
+            const auto snap = obs::MetricsSnapshot::fromJson(text);
+            return snap ? std::optional(snap->toJson()) : std::nullopt;
+        },
+        14);
 }
 
 } // namespace

@@ -350,6 +350,13 @@ TEST(PowerTrace, ParserRejectsWithLineNumbers)
         "{\"trace_schema\":1,\"segments\":[{\"duration_s\":-1,"
         "\"power_w\":1e-6}]}",
         &err));
+
+    // Standard string escapes decode: \u0041 is 'A'.
+    std::string escaped = PowerTrace{"x", {{1.0, 1e-6}}}.toJson();
+    escaped.replace(escaped.find("\"x\""), 3, "\"\\u0041\"");
+    const auto named = parsePowerTrace(escaped, &err);
+    ASSERT_TRUE(named.has_value()) << err.message;
+    EXPECT_EQ(named->name, "A");
 }
 
 TEST(TraceCorpus, ShipsNamedValidatedTraces)

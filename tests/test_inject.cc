@@ -59,6 +59,12 @@ TEST(OutageScheduleJson, RoundTrips)
     ASSERT_EQ(back->points.size(), 2u);
     EXPECT_EQ(back->points[0], s.points[0]);
     EXPECT_EQ(back->points[1], s.points[1]);
+
+    // Unknown keys of any type are skipped.
+    const auto extra = OutageSchedule::fromJson(
+        "{\"note\":{\"by\":[\"hand\",null]},\"checkpoint_period\":3}");
+    ASSERT_TRUE(extra.has_value());
+    EXPECT_EQ(extra->checkpointPeriod, 3u);
 }
 
 TEST(OutageScheduleJson, RejectsMalformedInput)
@@ -69,6 +75,21 @@ TEST(OutageScheduleJson, RejectsMalformedInput)
         OutageSchedule::fromJson("{\"outages\":[{\"step\":"
                                  "\"warp\"}]}")
             .has_value());
+    // Counts are exact integers within their field's range, and
+    // nothing may follow the document.
+    for (const char *bad : {
+             "{\"checkpoint_period\":nan}",
+             "{\"checkpoint_period\":0}",
+             "{\"checkpoint_period\":1e12}",
+             "{\"checkpoint_period\":2.7}",
+             "{\"checkpoints\":[0,-1]}",
+             "{\"outages\":[{\"attempt\":1e30}]}",
+             "{\"outages\":[{\"attempt\":2.5}]}",
+             "{\"outages\":[{\"fraction\":1.5}]}",
+             "{\"outages\":[]} trailing",
+         }) {
+        EXPECT_FALSE(OutageSchedule::fromJson(bad).has_value()) << bad;
+    }
 }
 
 TEST(OutageScheduleJson, MicroStepNamesRoundTrip)
@@ -381,6 +402,12 @@ TEST(Replay, ArtifactRoundTripsAndReproduces)
     const PointOutcome o =
         replaySchedule(gates(), parsed->schedule);
     EXPECT_EQ(o.verdict, Verdict::kCorrupted);
+
+    // The workload name is a decoded JSON string.
+    const auto quoted =
+        parseReplayArtifact(replayArtifactJson("a\"b", s));
+    ASSERT_TRUE(quoted.has_value());
+    EXPECT_EQ(quoted->workload, "a\"b");
 }
 
 TEST(Replay, PicksShrunkScheduleOutOfCampaignReport)

@@ -642,6 +642,16 @@ TEST(MetricsHub, SnapshotJsonRoundTrips)
             .has_value());
     EXPECT_FALSE(obs::MetricsSnapshot::fromJson("not json at all")
                      .has_value());
+    // The keys in emission order are not a snapshot without the
+    // objects that hold them.
+    std::string soup = j;
+    std::erase_if(soup, [](char c) { return c == '{' || c == '}'; });
+    EXPECT_FALSE(obs::MetricsSnapshot::fromJson(soup).has_value());
+    // A count must fit its field.
+    std::string huge = j;
+    const std::size_t depth = huge.find("\"queue_depth\":") + 14;
+    huge.replace(depth, huge.find(',', depth) - depth, "1e300");
+    EXPECT_FALSE(obs::MetricsSnapshot::fromJson(huge).has_value());
 }
 
 TEST(MetricsHub, PrometheusExpositionNamesTheFamilies)

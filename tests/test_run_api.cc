@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/json.hh"
 #include "core/accelerator.hh"
 
 namespace mouse
@@ -116,6 +119,14 @@ TEST(RunApi, JsonCarriesStatsAndMeta)
     EXPECT_EQ(j.find("\"error\":"), std::string::npos);
     EXPECT_EQ(j.front(), '{');
     EXPECT_EQ(j.back(), '}');
+    EXPECT_TRUE(json::parse(j).has_value()) << j;
+
+    // Non-finite stats still make a JSON document.
+    RunResult inf = res;
+    inf.stats.deadEnergy = std::numeric_limits<double>::infinity();
+    const auto doc = json::parse(inf.toJson());
+    ASSERT_TRUE(doc.has_value()) << inf.toJson();
+    EXPECT_EQ(doc->find("stats")->find("dead_energy_j")->number, 1e308);
 }
 
 // -- Structured validation: each invalid combination is rejected ----
