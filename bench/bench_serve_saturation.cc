@@ -253,15 +253,12 @@ main(int argc, char **argv)
         if (std::strcmp(mix, "bnn") == 0) {
             // Headline saturated point for the regression gate.
             points.push_back(medianPoint(svc, mix, bnn, svm, 16384, 7));
-            // The same load with live observability on (metrics hub
-            // + request spans), so the telemetry tax stays visible
-            // next to the zero-cost off path the gate protects.
-            obs::MetricsHub hub;
-            svc.setMetrics(&hub);
+            // The same load with request span tracing on, so the
+            // tracing tax stays visible next to the zero-cost off
+            // path the gate protects.
             svc.setTracing(true);
             points.push_back(
                 medianPoint(svc, "bnn_obs", bnn, svm, 4096, 7));
-            svc.setMetrics(nullptr);
             svc.setTracing(false);
         }
     }

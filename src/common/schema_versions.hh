@@ -33,11 +33,6 @@ namespace mouse::schema {
  *  docs/BASELINES.md). */
 inline constexpr int kResultSchemaVersion = 8;
 
-/** "metrics_schema" field of MetricsSnapshot documents emitted by
- *  src/obs/metrics_hub (docs/OBSERVABILITY.md "Live metrics
- *  format"). */
-inline constexpr int kMetricsSchemaVersion = 1;
-
 /** "trace_schema" field of power-trace documents parsed and emitted
  *  by src/harvest/power_trace (docs/HARVESTING.md "Trace format").
  *  Version 1: {"trace_schema", "name", "segments":[{"duration_s",

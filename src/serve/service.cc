@@ -90,9 +90,6 @@ InferenceService::submit(ModelId model, Input in)
     req.submitted = std::chrono::steady_clock::now();
     results_.emplace_back();
     open_[model].push_back(std::move(req));
-    if (metrics_ != nullptr) {
-        metrics_->recordSubmit();
-    }
     if (open_[model].size() >= batchCapacity(m)) {
         cutBatch(model);
     }
@@ -205,6 +202,8 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
     rec.slots = m.slots();
     rec.simSeconds = res.stats.totalTime();
     rec.energy = res.stats.totalEnergy();
+    rec.outages = res.stats.outages;
+    rec.chargingSeconds = res.stats.chargingTime;
     records_[batch.id] = rec;
 
     const auto now = std::chrono::steady_clock::now();
@@ -225,16 +224,6 @@ InferenceService::runBatch(Engine &eng, unsigned engineIdx,
         results_[req.id] = std::move(r);
     }
 
-    if (metrics_ != nullptr) {
-        metrics_->recordBatch(size, m.slots(), rec.simSeconds,
-                              rec.energy, res.stats.chargingTime,
-                              res.stats.outages);
-        for (unsigned s = 0; s < size; ++s) {
-            metrics_->recordDone(
-                results_[batch.reqs[s].id].hostSeconds,
-                rec.simSeconds);
-        }
-    }
     if (ts != nullptr) {
         const double tEnd =
             hostSince(std::chrono::steady_clock::now());
@@ -344,9 +333,6 @@ InferenceService::drain()
     };
     std::atomic<std::size_t> done{0};
     auto work = [&](unsigned engineIdx) {
-        if (metrics_ != nullptr) {
-            metrics_->workerActive(+1);
-        }
         Engine &eng = *engines_[engineIdx];
         for (;;) {
             const std::size_t i = claim(eng);
@@ -361,9 +347,6 @@ InferenceService::drain()
                     progressMutex_);
                 progress_(n, count);
             }
-        }
-        if (metrics_ != nullptr) {
-            metrics_->workerActive(-1);
         }
     };
     if (nThreads == 1) {
@@ -387,6 +370,13 @@ InferenceService::drain()
             std::chrono::steady_clock::now() - t0)
             .count();
     drainSeconds_ += secs;
+    if (tracing_) {
+        // The whole drain on the pool track: what its batch spans
+        // leave uncovered is thread spawn, claim and join.
+        formationTrace_.complete(
+            "drain", "serve", hostSince(t0), secs,
+            "{\"batches\":" + std::to_string(count) + "}");
+    }
     return secs;
 }
 
@@ -452,6 +442,19 @@ InferenceService::stats() const
         reg->counter("serve.model." + models_[rec.model].name() +
                          ".requests",
                      "requests served by this model") += rec.size;
+    }
+    if (cfg_.harvested) {
+        // Brownouts exist only under harvested power; registering
+        // them only then keeps wall-power registries unchanged.
+        obs::Counter &outages = reg->counter(
+            "serve.outages", "power outages across passes");
+        obs::Scalar &stall = reg->scalar(
+            "serve.outage_stall_s", obs::MergePolicy::kSum,
+            "simulated seconds spent recharging across passes");
+        for (std::size_t i = 0; i < runCursor_; ++i) {
+            outages += records_[i].outages;
+            stall.observe(records_[i].chargingSeconds);
+        }
     }
     reg->formula(
         "serve.sim_throughput_per_s",

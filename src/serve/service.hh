@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "core/accelerator.hh"
-#include "obs/metrics_hub.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace_sink.hh"
 #include "serve/models.hh"
@@ -164,20 +163,12 @@ class InferenceService
      *  percentiles, plus the deterministic stat registry. */
     std::string reportJson() const;
 
-    // -- Live observability (docs/OBSERVABILITY.md) -----------------
+    // -- Observability (docs/OBSERVABILITY.md) ----------------------
     //
-    // All of it is observational: metrics publishing, span tracing
-    // and progress reporting never feed back into batch composition,
-    // results, stats() or reportJson(), so those stay byte-identical
-    // with observability on or off.
-
-    /**
-     * Attach a live-metrics hub: submit/drain publish admission,
-     * batch, completion-latency and worker-activity samples into it.
-     * Null detaches.  The hub must outlive the service (or be
-     * detached first).
-     */
-    void setMetrics(obs::MetricsHub *hub) { metrics_ = hub; }
+    // All of it is observational: span tracing and progress
+    // reporting never feed back into batch composition, results,
+    // stats() or reportJson(), so those stay byte-identical with
+    // observability on or off.
 
     /**
      * Record per-request lifecycle spans (host timeline, anchored at
@@ -194,7 +185,8 @@ class InferenceService
      * the host-attributed "outage_stall" span); pid 1+batchId is the
      * batch's request row (one tid per slot, a "request" span
      * covering admission -> completion with a nested "queued" span);
-     * "batch_cut" instants mark batch formation.
+     * "batch_cut" instants mark batch formation and one "drain" span
+     * per drain() covers its host wall time on the pool track.
      */
     obs::TraceSink requestTrace() const;
 
@@ -234,6 +226,10 @@ class InferenceService
         unsigned slots = 0;
         double simSeconds = 0.0;
         Joules energy = 0.0;
+        /** Brownouts and simulated recharge seconds of the pass
+         *  (zero under wall power). */
+        std::uint64_t outages = 0;
+        double chargingSeconds = 0.0;
     };
 
     /** One pooled engine: an accelerator plus its deployed model. */
@@ -278,12 +274,12 @@ class InferenceService
 
     // Observability (never read by the deterministic paths).
     std::chrono::steady_clock::time_point epoch_;
-    obs::MetricsHub *metrics_ = nullptr;
     bool tracing_ = false;
     /** Per-batch span sinks, indexed by batch id like records_:
      *  each worker writes only its claimed batches' cells. */
     std::vector<std::unique_ptr<obs::TraceSink>> traces_;
-    /** Main-thread-only sink for batch-formation instants. */
+    /** Main-thread-only sink for batch-formation instants and
+     *  drain spans. */
     obs::TraceSink formationTrace_;
     std::function<void(std::size_t, std::size_t)> progress_;
     std::mutex progressMutex_;

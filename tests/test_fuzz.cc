@@ -7,8 +7,8 @@
  * quantifies over programs, not just hand-written kernels.
  *
  * The document readers that feed those proofs (power traces, outage
- * schedules, replay artifacts and campaign reports, metrics snapshots)
- * are fuzzed too, with seeded mutations of valid documents.
+ * schedules, replay artifacts and campaign reports) are fuzzed too,
+ * with seeded mutations of valid documents.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "harvest/trace_corpus.hh"
 #include "inject/campaign.hh"
 #include "inject/replay.hh"
-#include "obs/metrics_hub.hh"
 #include "sim/outage_schedule.hh"
 
 namespace mouse
@@ -347,25 +346,6 @@ TEST(DocumentFuzz, CampaignReportReader)
                        : std::nullopt;
         },
         13);
-}
-
-TEST(DocumentFuzz, MetricsSnapshotReader)
-{
-    obs::MetricsHub hub;
-    for (int i = 0; i < 9; ++i) {
-        hub.recordSubmit();
-    }
-    hub.recordBatch(6, 8, 1.5e-3, 2.5e-7, 1.0e-4, 3);
-    for (int i = 0; i < 6; ++i) {
-        hub.recordDone(1e-3 * (i + 1), 2.5e-4 * (i + 1));
-    }
-    fuzzReader(
-        "metrics snapshot", hub.snapshot().toJson(),
-        [](const std::string &text) -> std::optional<std::string> {
-            const auto snap = obs::MetricsSnapshot::fromJson(text);
-            return snap ? std::optional(snap->toJson()) : std::nullopt;
-        },
-        14);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include "core/accelerator.hh"
 #include "exp/names.hh"
 #include "exp/runner.hh"
-#include "obs/metrics_hub.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace_sink.hh"
 
@@ -524,226 +523,6 @@ TEST(TraceSink, WaveformCsvRoundTrips)
     EXPECT_EQ(csv.find("point,t_s,cap_voltage_v,harvest_power_w\n"),
               0u);
     EXPECT_NE(csv.find("0,0.25,0.5,"), std::string::npos) << csv;
-}
-
-// -- MetricsHub ------------------------------------------------------
-
-TEST(MetricsHub, LifetimeAndWindowAccumulate)
-{
-    obs::MetricsHub hub;
-    for (int i = 0; i < 4; ++i) {
-        hub.recordSubmit();
-    }
-    {
-        const obs::MetricsSnapshot s = hub.snapshot();
-        EXPECT_EQ(s.submitted, 4u);
-        EXPECT_EQ(s.completed, 0u);
-        EXPECT_EQ(s.queueDepth, 4);
-    }
-    hub.workerActive(+1);
-    hub.recordBatch(4, 8, 2.0e-3, 5.0e-6, 0.5e-3, 3);
-    hub.recordDone(1.0e-3, 2.5e-4);
-    hub.recordDone(2.0e-3, 2.5e-4);
-    hub.recordDone(3.0e-3, 2.5e-4);
-    hub.recordDone(4.0e-3, 2.5e-4);
-    const obs::MetricsSnapshot mid = hub.snapshot();
-    EXPECT_EQ(mid.activeWorkers, 1u);
-    hub.workerActive(-1);
-
-    const obs::MetricsSnapshot s = hub.snapshot();
-    EXPECT_EQ(s.submitted, 4u);
-    EXPECT_EQ(s.completed, 4u);
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.queueDepth, 0);
-    EXPECT_EQ(s.activeWorkers, 0u);
-    EXPECT_EQ(s.slotsTotal, 8u);
-    EXPECT_EQ(s.slotsUsed, 4u);
-    EXPECT_EQ(s.outages, 3u);
-    EXPECT_DOUBLE_EQ(s.simSeconds, 2.0e-3);
-    EXPECT_DOUBLE_EQ(s.energyJoules, 5.0e-6);
-    EXPECT_DOUBLE_EQ(s.outageStallSeconds, 0.5e-3);
-    EXPECT_GT(s.throughputPerS, 0.0);
-    // The whole run fits inside the 10 s window.
-    EXPECT_EQ(s.windowCompleted, 4u);
-    EXPECT_EQ(s.windowBatches, 1u);
-    EXPECT_DOUBLE_EQ(s.windowOccupancy, 0.5);
-    EXPECT_DOUBLE_EQ(s.windowEnergyPerRequestJ, 5.0e-6 / 4.0);
-    EXPECT_DOUBLE_EQ(s.windowOutageStallSeconds, 0.5e-3);
-    // Latency quantiles clamp to the observed range and are
-    // monotone in q.
-    EXPECT_EQ(s.hostLatency.count, 4u);
-    EXPECT_GE(s.hostLatency.p50, 1.0e-3);
-    EXPECT_LE(s.hostLatency.p99, 4.0e-3);
-    EXPECT_LE(s.hostLatency.p50, s.hostLatency.p95);
-    EXPECT_LE(s.hostLatency.p95, s.hostLatency.p99);
-    EXPECT_EQ(s.simLatency.count, 4u);
-    EXPECT_DOUBLE_EQ(s.simLatency.p50, 2.5e-4);
-    EXPECT_DOUBLE_EQ(s.simLatency.p99, 2.5e-4);
-}
-
-TEST(MetricsHub, SnapshotJsonRoundTrips)
-{
-    obs::MetricsHub hub;
-    for (int i = 0; i < 7; ++i) {
-        hub.recordSubmit();
-    }
-    hub.recordBatch(5, 8, 1.25e-3, 3.5e-7, 2.0e-4, 11);
-    for (int i = 0; i < 5; ++i) {
-        hub.recordDone(1e-3 * (i + 1), 2.5e-4 * (i + 1));
-    }
-    hub.recordStallWarning();
-    const obs::MetricsSnapshot s = hub.snapshot();
-    const std::string j = s.toJson();
-    EXPECT_TRUE(validJson(j)) << j;
-    // mouse-lint: allow(schema-constants) -- golden pin: the test
-    // hardcodes the published version on purpose, so an accidental
-    // bump of the central constant fails here.
-    EXPECT_NE(j.find("\"metrics_schema\":1"), std::string::npos) << j;
-
-    const std::optional<obs::MetricsSnapshot> r =
-        obs::MetricsSnapshot::fromJson(j);
-    ASSERT_TRUE(r.has_value()) << j;
-    // %.17g serialization round-trips doubles exactly.
-    EXPECT_DOUBLE_EQ(r->uptimeSeconds, s.uptimeSeconds);
-    EXPECT_DOUBLE_EQ(r->windowSeconds, s.windowSeconds);
-    EXPECT_EQ(r->submitted, s.submitted);
-    EXPECT_EQ(r->completed, s.completed);
-    EXPECT_EQ(r->batches, s.batches);
-    EXPECT_EQ(r->slotsTotal, s.slotsTotal);
-    EXPECT_EQ(r->slotsUsed, s.slotsUsed);
-    EXPECT_EQ(r->outages, s.outages);
-    EXPECT_EQ(r->stallWarnings, s.stallWarnings);
-    EXPECT_EQ(r->queueDepth, s.queueDepth);
-    EXPECT_EQ(r->activeWorkers, s.activeWorkers);
-    EXPECT_DOUBLE_EQ(r->simSeconds, s.simSeconds);
-    EXPECT_DOUBLE_EQ(r->energyJoules, s.energyJoules);
-    EXPECT_DOUBLE_EQ(r->outageStallSeconds, s.outageStallSeconds);
-    EXPECT_DOUBLE_EQ(r->throughputPerS, s.throughputPerS);
-    EXPECT_EQ(r->windowCompleted, s.windowCompleted);
-    EXPECT_EQ(r->windowBatches, s.windowBatches);
-    EXPECT_DOUBLE_EQ(r->windowThroughputPerS,
-                     s.windowThroughputPerS);
-    EXPECT_DOUBLE_EQ(r->windowOccupancy, s.windowOccupancy);
-    EXPECT_DOUBLE_EQ(r->windowEnergyPerRequestJ,
-                     s.windowEnergyPerRequestJ);
-    EXPECT_DOUBLE_EQ(r->windowOutageStallSeconds,
-                     s.windowOutageStallSeconds);
-    EXPECT_EQ(r->hostLatency.count, s.hostLatency.count);
-    EXPECT_DOUBLE_EQ(r->hostLatency.p50, s.hostLatency.p50);
-    EXPECT_DOUBLE_EQ(r->hostLatency.p95, s.hostLatency.p95);
-    EXPECT_DOUBLE_EQ(r->hostLatency.p99, s.hostLatency.p99);
-    EXPECT_EQ(r->simLatency.count, s.simLatency.count);
-    EXPECT_DOUBLE_EQ(r->simLatency.p99, s.simLatency.p99);
-
-    // Garbage and truncated documents fail cleanly.
-    EXPECT_FALSE(obs::MetricsSnapshot::fromJson("{}").has_value());
-    EXPECT_FALSE(
-        obs::MetricsSnapshot::fromJson(j.substr(0, j.size() / 2))
-            .has_value());
-    EXPECT_FALSE(obs::MetricsSnapshot::fromJson("not json at all")
-                     .has_value());
-    // The keys in emission order are not a snapshot without the
-    // objects that hold them.
-    std::string soup = j;
-    std::erase_if(soup, [](char c) { return c == '{' || c == '}'; });
-    EXPECT_FALSE(obs::MetricsSnapshot::fromJson(soup).has_value());
-    // A count must fit its field.
-    std::string huge = j;
-    const std::size_t depth = huge.find("\"queue_depth\":") + 14;
-    huge.replace(depth, huge.find(',', depth) - depth, "1e300");
-    EXPECT_FALSE(obs::MetricsSnapshot::fromJson(huge).has_value());
-}
-
-TEST(MetricsHub, PrometheusExpositionNamesTheFamilies)
-{
-    obs::MetricsHub hub;
-    for (int i = 0; i < 2; ++i) {
-        hub.recordSubmit();
-    }
-    hub.recordBatch(2, 4, 1e-3, 2e-7, 0.0, 0);
-    hub.recordDone(1e-3, 5e-4);
-    hub.recordDone(2e-3, 5e-4);
-    const std::string p = hub.snapshot().toPrometheus();
-    for (const char *family :
-         {"mouse_serve_requests_submitted_total",
-          "mouse_serve_requests_completed_total",
-          "mouse_serve_batches_total", "mouse_serve_outages_total",
-          "mouse_serve_stall_warnings_total",
-          "mouse_serve_queue_depth", "mouse_serve_active_workers",
-          "mouse_serve_uptime_seconds",
-          "mouse_serve_window_throughput_per_second",
-          "mouse_serve_window_batch_occupancy",
-          "mouse_serve_host_latency_seconds",
-          "mouse_serve_sim_latency_seconds"}) {
-        EXPECT_NE(p.find(family), std::string::npos) << family;
-    }
-    EXPECT_NE(p.find("# TYPE mouse_serve_requests_completed_total"
-                     " counter"),
-              std::string::npos)
-        << p;
-    EXPECT_NE(p.find("quantile=\"0.99\""), std::string::npos) << p;
-    EXPECT_NE(p.find("mouse_serve_requests_completed_total 2"),
-              std::string::npos)
-        << p;
-}
-
-// -- StallWatchdog ---------------------------------------------------
-
-TEST(StallWatchdog, DetectsIdleQueueOncePerEpisode)
-{
-    obs::MetricsHub hub;
-    obs::StallWatchdog dog(hub, 1.0);
-    for (int i = 0; i < 3; ++i) {
-        hub.recordSubmit();
-    }
-    // First call seeds the progress baseline, never reports.
-    EXPECT_FALSE(dog.check(0.0).has_value());
-    EXPECT_FALSE(dog.check(0.5).has_value());
-    const std::optional<obs::StallReport> r = dog.check(1.5);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->kind, obs::StallReport::Kind::kIdleQueue);
-    EXPECT_GE(r->stalledSeconds, 1.0);
-    EXPECT_EQ(r->queueDepth, 3);
-    EXPECT_EQ(r->activeWorkers, 0u);
-    EXPECT_STREQ(r->kindName(), "idle_queue");
-    EXPECT_TRUE(validJson(r->toJson())) << r->toJson();
-    // One report per episode: no re-fire while still stalled.
-    EXPECT_FALSE(dog.check(2.0).has_value());
-    EXPECT_FALSE(dog.check(10.0).has_value());
-}
-
-TEST(StallWatchdog, ClassifiesStuckDrainAndRearmsOnProgress)
-{
-    obs::MetricsHub hub;
-    obs::StallWatchdog dog(hub, 1.0);
-    for (int i = 0; i < 2; ++i) {
-        hub.recordSubmit();
-    }
-    hub.workerActive(+1);
-    EXPECT_FALSE(dog.check(0.0).has_value());
-    const std::optional<obs::StallReport> r1 = dog.check(1.25);
-    ASSERT_TRUE(r1.has_value());
-    // Workers are active, so the queue is not idle — the drain
-    // cursor is stuck.
-    EXPECT_EQ(r1->kind, obs::StallReport::Kind::kStuckDrain);
-    EXPECT_STREQ(r1->kindName(), "stuck_drain");
-
-    // Progress re-arms the detector...
-    hub.recordBatch(1, 1, 1e-3, 1e-7, 0.0, 0);
-    hub.recordDone(1e-3, 1e-3);
-    EXPECT_FALSE(dog.check(1.5).has_value());
-    // ...and a fresh no-progress window reports again.
-    EXPECT_FALSE(dog.check(2.0).has_value());
-    const std::optional<obs::StallReport> r2 = dog.check(2.75);
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_EQ(r2->queueDepth, 1);
-
-    // Draining the queue clears the stall state entirely.
-    hub.recordBatch(1, 1, 1e-3, 1e-7, 0.0, 0);
-    hub.recordDone(1e-3, 1e-3);
-    hub.workerActive(-1);
-    EXPECT_FALSE(dog.check(3.0).has_value());
-    EXPECT_FALSE(dog.check(20.0).has_value());
 }
 
 // -- End-to-end determinism ------------------------------------------

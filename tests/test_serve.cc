@@ -310,26 +310,21 @@ TEST(Serve, ObservabilityDoesNotPerturbDeterministicOutputs)
     auto run = [&](unsigned workers, bool observed) {
         auto svc = std::make_unique<InferenceService>(
             smallConfig(workers));
-        auto hub = std::make_unique<obs::MetricsHub>();
-        if (observed) {
-            svc->setMetrics(hub.get());
-            svc->setTracing(true);
-        }
+        svc->setTracing(observed);
         const ModelId bnn = svc->addModel(bnnModel);
         const ModelId svm = svc->addModel(svmModel);
         const Workload w = makeWorkload(*svc, bnn, svm, 30, 555);
         submitAll(*svc, w);
         svc->drain();
-        svc->setMetrics(nullptr);
         return svc;
     };
     const auto plain = run(1, false);
     const auto observed1 = run(1, true);
     const auto observed4 = run(4, true);
 
-    // Metrics publishing and span tracing are observational: the
-    // folded registry stays byte-identical with them on or off, and
-    // across worker counts with them on.
+    // Span tracing is observational: the folded registry stays
+    // byte-identical with it on or off, and across worker counts
+    // with it on.
     EXPECT_EQ(plain->stats()->toJson(), observed1->stats()->toJson());
     EXPECT_EQ(plain->stats()->toJson(), observed4->stats()->toJson());
     for (RequestId id = 0; id < 30; ++id) {
@@ -343,35 +338,32 @@ TEST(Serve, ObservabilityDoesNotPerturbDeterministicOutputs)
     }
 }
 
-TEST(Serve, MetricsHubSeesTheWholeServingLifecycle)
+TEST(Serve, CountersFollowTheWholeServingLifecycle)
 {
     Rng modelRng(47);
-    obs::MetricsHub hub;
     InferenceService svc(smallConfig(2));
-    svc.setMetrics(&hub);
     const ModelId bnn = svc.addModel(randomBnn(modelRng));
     Rng rng(12);
     for (unsigned i = 0; i < 10; ++i) {
         svc.submit(bnn, randomInput(rng, svc.model(bnn), 1));
     }
-    {
-        const obs::MetricsSnapshot s = hub.snapshot();
-        EXPECT_EQ(s.submitted, 10u);
-        EXPECT_EQ(s.queueDepth, 10);
-        EXPECT_EQ(s.completed, 0u);
-    }
+    EXPECT_EQ(svc.pendingRequests(), 10u);
+    EXPECT_EQ(svc.completed(), 0u);
+    EXPECT_EQ(svc.batchesRun(), 0u);
     svc.drain();
-    svc.setMetrics(nullptr);
-    const obs::MetricsSnapshot s = hub.snapshot();
-    EXPECT_EQ(s.submitted, 10u);
-    EXPECT_EQ(s.completed, 10u);
-    EXPECT_EQ(s.queueDepth, 0);
-    EXPECT_EQ(s.batches, svc.batchesRun());
-    EXPECT_EQ(s.activeWorkers, 0u);
-    EXPECT_GT(s.simSeconds, 0.0);
-    EXPECT_GT(s.energyJoules, 0.0);
-    EXPECT_EQ(s.hostLatency.count, 10u);
-    EXPECT_GT(s.hostLatency.p50, 0.0);
+    EXPECT_EQ(svc.pendingRequests(), 0u);
+    EXPECT_EQ(svc.completed(), 10u);
+    // 10 requests in 4-slot passes: two full batches and a partial.
+    EXPECT_EQ(svc.batchesRun(), 3u);
+    const auto reg = svc.stats();
+    EXPECT_EQ(reg->counterValue("serve.requests"), 10.0);
+    EXPECT_EQ(reg->counterValue("serve.batches"),
+              static_cast<double>(svc.batchesRun()));
+    EXPECT_GT(reg->scalarValue("serve.sim_time_s"), 0.0);
+    EXPECT_GT(reg->scalarValue("serve.energy_j"), 0.0);
+    for (RequestId id = 0; id < 10; ++id) {
+        EXPECT_GT(svc.result(id).hostSeconds, 0.0) << "request " << id;
+    }
 }
 
 TEST(Serve, RequestSpansCoverHostLatency)
@@ -383,15 +375,20 @@ TEST(Serve, RequestSpansCoverHostLatency)
     const ModelId svm = svc.addModel(randomSvm(modelRng));
     const Workload w = makeWorkload(svc, bnn, svm, 16, 909);
     submitAll(svc, w);
-    svc.drain();
+    double drained = svc.drain();
+    const Workload more = makeWorkload(svc, bnn, svm, 8, 910);
+    for (std::size_t i = 0; i < more.models.size(); ++i) {
+        svc.submit(more.models[i], more.inputs[i]);
+    }
+    drained += svc.drain();
 
     const obs::TraceSink trace = svc.requestTrace();
     ASSERT_FALSE(trace.events().empty());
 
-    // Every batch phase appears, plus formation instants.
+    // Every batch phase appears, plus formation instants and drains.
     for (const char *name :
          {"batch", "deploy", "pack", "sim", "readout", "batch_cut",
-          "request", "queued"}) {
+          "request", "queued", "drain"}) {
         bool found = false;
         for (const auto &e : trace.events()) {
             found |= e.name == name;
@@ -420,6 +417,31 @@ TEST(Serve, RequestSpansCoverHostLatency)
         }
         EXPECT_TRUE(found) << "request " << id;
     }
+
+    // One drain span per drain() covers its host wall time, so the
+    // time outside every batch span is attributed too.
+    std::vector<const obs::TraceEvent *> drains;
+    double drainSpanSeconds = 0.0;
+    for (const auto &e : trace.events()) {
+        if (e.name == "drain") {
+            drains.push_back(&e);
+            drainSpanSeconds += e.durUs * 1e-6;
+        }
+    }
+    ASSERT_EQ(drains.size(), 2u);
+    EXPECT_NEAR(drainSpanSeconds, drained, 0.01 * drained);
+    const double eps = 1e-3;  // microseconds of rounding
+    for (const auto &e : trace.events()) {
+        if (e.name != "batch") {
+            continue;
+        }
+        bool inside = false;
+        for (const obs::TraceEvent *d : drains) {
+            inside |= e.tsUs >= d->tsUs - eps &&
+                      e.tsUs + e.durUs <= d->tsUs + d->durUs + eps;
+        }
+        EXPECT_TRUE(inside) << e.args;
+    }
 }
 
 TEST(Serve, HarvestedServingAttributesOutageStalls)
@@ -432,9 +454,7 @@ TEST(Serve, HarvestedServingAttributesOutageStalls)
     // repeatedly (the burst covers only a handful of instructions).
     cfg.harvest.source = SourceSpec::constant(1e-6);
     cfg.harvest.capacitanceOverride = 2e-10;
-    obs::MetricsHub hub;
     InferenceService svc(cfg);
-    svc.setMetrics(&hub);
     svc.setTracing(true);
     const ModelId bnn = svc.addModel(bnnModel);
     Rng rng(6);
@@ -442,13 +462,20 @@ TEST(Serve, HarvestedServingAttributesOutageStalls)
         svc.submit(bnn, randomInput(rng, svc.model(bnn), 1));
     }
     svc.drain();
-    svc.setMetrics(nullptr);
 
-    const obs::MetricsSnapshot s = hub.snapshot();
-    EXPECT_EQ(s.completed, 4u);
-    EXPECT_GT(s.outages, 0u);
-    EXPECT_GT(s.outageStallSeconds, 0.0);
-    EXPECT_GT(s.windowOutageStallSeconds, 0.0);
+    // The registry carries the brownouts and the recharge time.
+    const auto reg = svc.stats();
+    EXPECT_EQ(svc.completed(), 4u);
+    EXPECT_GT(reg->counterValue("serve.outages"), 0.0);
+    EXPECT_GT(reg->scalarValue("serve.outage_stall_s"), 0.0);
+    // A wall-power service registers neither key.
+    InferenceService wall(smallConfig(1));
+    const ModelId wallBnn = wall.addModel(bnnModel);
+    wall.submit(wallBnn, randomInput(rng, wall.model(wallBnn), 1));
+    wall.drain();
+    const auto wallReg = wall.stats();
+    EXPECT_EQ(wallReg->findCounter("serve.outages"), nullptr);
+    EXPECT_EQ(wallReg->findScalar("serve.outage_stall_s"), nullptr);
 
     // The span stream separates brownout time from compute time.
     const obs::TraceSink trace = svc.requestTrace();

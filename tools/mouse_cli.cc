@@ -19,11 +19,10 @@
  *                                       driver (docs/SERVING.md);
  *                                       --stream PATH replays a
  *                                       request stream instead of
- *                                       synthetic load; live metrics
- *                                       via --metrics-out, harvested
- *                                       power via --harvest-power
- *   metrics-summary PATH                render a --metrics-out
- *                                       snapshot as a human summary
+ *                                       synthetic load; request
+ *                                       spans via --trace-out,
+ *                                       harvested power via
+ *                                       --harvest-power
  *   list                                benchmark, tech, and injection
  *                                       workload names
  *
@@ -56,14 +55,12 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -71,7 +68,6 @@
 
 #include "baseline/selector.hh"
 #include "common/rng.hh"
-#include "common/schema_versions.hh"
 #include "energy/area_model.hh"
 #include "harvest/platform.hh"
 #include "harvest/power_trace.hh"
@@ -111,11 +107,8 @@ usage()
         "  serve   [--tech T] [--model bnn|svm|mixed] [--requests N]\n"
         "          [--batch N] [--threads N] [--seed S]\n"
         "          [--stream PATH] [--json] [--trace-out PATH]\n"
-        "          [--metrics-out PATH] [--metrics-interval-ms N]\n"
-        "          [--watchdog-ms N] [--harvest-power WATTS]\n"
-        "          [--harvest-cap FARADS] [--power-trace SRC]\n"
-        "          [--platform P]\n"
-        "  metrics-summary PATH\n"
+        "          [--harvest-power WATTS] [--harvest-cap FARADS]\n"
+        "          [--power-trace SRC] [--platform P]\n"
         "  list\n"
         "bench/sweep outputs:\n"
         "  --stats-out PATH     stat registry (JSON, or CSV if PATH "
@@ -142,9 +135,9 @@ usage()
 
 /**
  * Write BODY to PATH through a sibling ".tmp" file renamed into
- * place, so a concurrent reader (live metrics scrapers, a tail -f on
- * a --json-out) never sees a torn document.  Every snapshot-style
- * output of the CLI funnels through here.
+ * place, so a concurrent reader (a tail -f on a --json-out) never
+ * sees a torn document.  OutputFile::write() funnels every claimed
+ * output through here.
  */
 bool
 atomicWriteFile(const std::string &path, const std::string &body)
@@ -224,13 +217,6 @@ struct Options
     /** serve: request-stream file replayed instead of synthetic
      *  load ("-" reads stdin). */
     std::string streamPath;
-    /** serve: live metrics snapshot path (empty = off); .prom/.txt
-     *  writes Prometheus text, anything else JSON. */
-    std::string metricsOut;
-    /** serve: snapshot rewrite period. */
-    std::uint64_t metricsIntervalMs = 1000;
-    /** serve: queue-stall watchdog no-progress threshold; 0 = off. */
-    std::uint64_t watchdogMs = 0;
     /** serve: harvested-power serving (harvester watts; 0 = wall
      *  power). */
     double harvestPower = 0.0;
@@ -419,8 +405,7 @@ constexpr const char *kAllFlags[] = {
     "--no-journal",   "--random",     "--max-outages",
     "--seed",         "--report",     "--replay",
     "--requests",     "--model",      "--batch",
-    "--stream",       "--metrics-out", "--metrics-interval-ms",
-    "--watchdog-ms",  "--harvest-power", "--harvest-cap",
+    "--stream",       "--harvest-power", "--harvest-cap",
     "--power-trace",  "--platform",    "--scheme",
 };
 
@@ -487,7 +472,6 @@ constexpr const char *kServeFlags[] = {
     "--tech",    "--model",     "--requests",  "--batch",
     "--threads", "--seed",      "--stream",    "--json",
     "--json-out", "--stats-out", "--progress", "--trace-out",
-    "--metrics-out", "--metrics-interval-ms", "--watchdog-ms",
     "--harvest-power", "--harvest-cap", "--power-trace",
     "--platform",
 };
@@ -500,7 +484,6 @@ constexpr CommandSpec kCommands[] = {
     {"area", "MB", kAreaFlags, std::size(kAreaFlags)},
     {"inject", nullptr, kInjectFlags, std::size(kInjectFlags)},
     {"serve", nullptr, kServeFlags, std::size(kServeFlags)},
-    {"metrics-summary", "PATH", nullptr, 0},
     {"list", nullptr, nullptr, 0},
 };
 
@@ -673,25 +656,6 @@ parseFlags(int argc, char **argv, int start, const CommandSpec &spec,
             opts.maxBatch = static_cast<unsigned>(n);
         } else if (!std::strcmp(flag, "--stream")) {
             opts.streamPath = val;
-        } else if (!std::strcmp(flag, "--metrics-out")) {
-            opts.metricsOut = val;
-        } else if (!std::strcmp(flag, "--metrics-interval-ms")) {
-            if (!parseCount(flag, val, n)) {
-                return false;
-            }
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "--metrics-interval-ms needs a period "
-                             ">= 1, got '%s'\n",
-                             val);
-                return false;
-            }
-            opts.metricsIntervalMs = n;
-        } else if (!std::strcmp(flag, "--watchdog-ms")) {
-            if (!parseCount(flag, val, n)) {
-                return false;
-            }
-            opts.watchdogMs = n;
         } else if (!std::strcmp(flag, "--harvest-power")) {
             char *end = nullptr;
             opts.harvestPower = std::strtod(val, &end);
@@ -1025,62 +989,6 @@ readFile(const std::string &path)
     return text;
 }
 
-/** `metrics-summary PATH`: render a --metrics-out JSON snapshot as a
- *  one-screen human summary.  Exit 2 when the file is unreadable or
- *  not a metrics_schema-1 document. */
-int
-cmdMetricsSummary(const std::string &path)
-{
-    const auto text = readFile(path);
-    if (!text) {
-        return 2;
-    }
-    const auto snap = obs::MetricsSnapshot::fromJson(*text);
-    if (!snap) {
-        std::fprintf(stderr,
-                     "mouse_cli: '%s' is not a metrics snapshot "
-                     "(want the --metrics-out JSON document, "
-                     "metrics_schema %d)\n",
-                     path.c_str(), schema::kMetricsSchemaVersion);
-        return 2;
-    }
-    const obs::MetricsSnapshot &s = *snap;
-    std::printf("metrics snapshot: uptime %.1f s, window %.1f s\n",
-                s.uptimeSeconds, s.windowSeconds);
-    std::printf("requests: %llu submitted, %llu completed over %llu "
-                "batches; queue %lld, %u worker(s) active\n",
-                static_cast<unsigned long long>(s.submitted),
-                static_cast<unsigned long long>(s.completed),
-                static_cast<unsigned long long>(s.batches),
-                static_cast<long long>(s.queueDepth),
-                s.activeWorkers);
-    std::printf("throughput: %.1f/s lifetime, %.1f/s window "
-                "(occupancy %.0f%%)\n",
-                s.throughputPerS, s.windowThroughputPerS,
-                s.windowOccupancy * 1e2);
-    std::printf("simulated: %.3f ms array time, %.3f uJ total, "
-                "%.3f nJ/request in window\n",
-                s.simSeconds * 1e3, s.energyJoules * 1e6,
-                s.windowEnergyPerRequestJ * 1e9);
-    std::printf("outages: %llu (%.3f ms stalled lifetime, %.3f ms "
-                "in window); stall warnings: %llu\n",
-                static_cast<unsigned long long>(s.outages),
-                s.outageStallSeconds * 1e3,
-                s.windowOutageStallSeconds * 1e3,
-                static_cast<unsigned long long>(s.stallWarnings));
-    std::printf("host latency (window, n=%llu): p50 %.3f ms, "
-                "p95 %.3f ms, p99 %.3f ms\n",
-                static_cast<unsigned long long>(s.hostLatency.count),
-                s.hostLatency.p50 * 1e3, s.hostLatency.p95 * 1e3,
-                s.hostLatency.p99 * 1e3);
-    std::printf("sim latency  (window, n=%llu): p50 %.3f ms, "
-                "p95 %.3f ms, p99 %.3f ms\n",
-                static_cast<unsigned long long>(s.simLatency.count),
-                s.simLatency.p50 * 1e3, s.simLatency.p95 * 1e3,
-                s.simLatency.p99 * 1e3);
-    return 0;
-}
-
 void
 printOutcome(const inject::PointOutcome &o)
 {
@@ -1260,32 +1168,11 @@ parseStreamLine(const std::string &line, std::size_t lineNo,
     return true;
 }
 
-/**
- * Rewrite the live-metrics snapshot at @p path: Prometheus text for
- * .prom/.txt paths, JSON otherwise.  Written to a sibling tmp file
- * and renamed so a concurrent reader never sees a torn document.
- */
-bool
-writeMetricsSnapshot(const std::string &path,
-                     const obs::MetricsSnapshot &snap)
-{
-    const auto endsWith = [&path](const char *suffix) {
-        const std::size_t n = std::strlen(suffix);
-        return path.size() >= n &&
-               path.compare(path.size() - n, n, suffix) == 0;
-    };
-    const std::string body = endsWith(".prom") || endsWith(".txt")
-                                 ? snap.toPrometheus()
-                                 : snap.toJson() + "\n";
-    return atomicWriteFile(path, body);
-}
-
 /** Batched-inference serving driver (docs/SERVING.md): registers
  *  the deterministic demo models, admits synthetic or streamed
  *  requests, drains the engine pool, and reports schema-v4 serve
- *  JSON or a human summary.  Live observability (span tracing,
- *  metrics snapshots, the queue-stall watchdog, harvested power) is
- *  documented in docs/OBSERVABILITY.md. */
+ *  JSON or a human summary.  Span tracing is documented in
+ *  docs/OBSERVABILITY.md. */
 int
 cmdServe(const Options &opts)
 {
@@ -1327,16 +1214,6 @@ cmdServe(const Options &opts)
     }
     serve::InferenceService svc(cfg);
 
-    obs::MetricsHub hub;
-    if (!opts.metricsOut.empty() || opts.watchdogMs > 0) {
-        svc.setMetrics(&hub);
-    }
-    // Claim the metrics path before admitting load, like every other
-    // output (a typo'd path fails immediately, not after the drain).
-    if (!opts.metricsOut.empty() &&
-        !writeMetricsSnapshot(opts.metricsOut, hub.snapshot())) {
-        return 2;
-    }
     if (out.trace.wanted()) {
         svc.setTracing(true);
     }
@@ -1427,49 +1304,8 @@ cmdServe(const Options &opts)
                 meter.report(done, total);
             });
     }
-    // Periodic snapshot rewriter; drain() blocks, so it runs beside.
-    std::atomic<bool> metricsStop{false};
-    std::thread emitter;
-    if (!opts.metricsOut.empty()) {
-        emitter = std::thread([&]() {
-            while (!metricsStop.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        opts.metricsIntervalMs));
-                writeMetricsSnapshot(opts.metricsOut,
-                                     hub.snapshot());
-            }
-        });
-    }
-    std::optional<obs::StallWatchdog> watchdog;
-    if (opts.watchdogMs > 0) {
-        watchdog.emplace(hub,
-                         static_cast<double>(opts.watchdogMs) / 1e3);
-        watchdog->start(
-            std::max(static_cast<double>(opts.watchdogMs) / 4.0,
-                     10.0) /
-                1e3,
-            [](const obs::StallReport &r) {
-                std::fprintf(stderr,
-                             "serve: queue stall detected: %s\n",
-                             r.toJson().c_str());
-            });
-    }
 
     const double secs = svc.drain();
-
-    if (watchdog) {
-        watchdog->stop();
-    }
-    if (emitter.joinable()) {
-        metricsStop.store(true, std::memory_order_relaxed);
-        emitter.join();
-    }
-    if (!opts.metricsOut.empty()) {
-        // Final snapshot, so even a sub-interval run leaves the
-        // completed totals on disk.
-        writeMetricsSnapshot(opts.metricsOut, hub.snapshot());
-    }
     if (out.trace.wanted()) {
         out.trace.write(svc.requestTrace().toChromeJson() + "\n");
     }
@@ -1582,9 +1418,6 @@ main(int argc, char **argv)
     }
     if (cmd == "serve") {
         return cmdServe(opts);
-    }
-    if (cmd == "metrics-summary") {
-        return cmdMetricsSummary(argv[2]);
     }
     // bench / sweep / analyze share the benchmark positional.
     const auto bi = names::benchmarkIndex(argv[2]);

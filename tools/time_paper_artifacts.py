@@ -47,7 +47,7 @@ def main():
                          " checkout)")
     args = ap.parse_args()
 
-    bench_dir = Path(args.build_dir) / "bench"
+    bench_dir = Path(args.build_dir).resolve() / "bench"
     names = artifact_benches()
     missing = [n for n in names if not (bench_dir / n).is_file()]
     if missing:
