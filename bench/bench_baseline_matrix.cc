@@ -220,9 +220,8 @@ main(int argc, char **argv)
     }
     std::vector<inject::McuCampaignReport> conf;
     for (const char *scheme : {"bec", "odab", "clank", "oracle"}) {
-        inject::McuCampaignConfig cfg;
-        cfg.scheme = scheme;
-        conf.push_back(inject::runMcuCampaign(*workload, cfg));
+        conf.push_back(inject::runMcuCampaign(
+            *workload, *mcu::makeEhScheme(scheme)));
         if (!conf.back().clean()) {
             std::fprintf(stderr,
                          "scheme %s corrupted state in %llu "

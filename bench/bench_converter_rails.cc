@@ -23,9 +23,8 @@ using namespace mouse;
 int
 main()
 {
-    const SwitchedCapConverter paper_conv(1.0, paperConverterRatios());
-    const SwitchedCapConverter ext_conv(1.0,
-                                        extendedConverterRatios());
+    const SwitchedCapConverter paper_conv(paperConverterRatios());
+    const SwitchedCapConverter ext_conv(extendedConverterRatios());
 
     for (TechConfig tech :
          {TechConfig::ModernStt, TechConfig::ProjectedStt,

@@ -28,9 +28,11 @@ namespace mouse::schema {
  *  instead of the load, which moves every MCU point and every MOUSE
  *  point on a platform.  The v4 "serve" block was later removed
  *  without a bump: no emitter outside the deleted asynchronous
- *  Accelerator queue ever produced it (docs/EXPERIMENTS_API.md,
- *  docs/FAULT_INJECTION.md, docs/SERVING.md, docs/HARVESTING.md,
- *  docs/BASELINES.md). */
+ *  Accelerator queue ever produced it.  The injection report's
+ *  "env_sources"/"env_platform" campaign keys went the same way:
+ *  every emitter outside the tests wrote [] and ""
+ *  (docs/EXPERIMENTS_API.md, docs/FAULT_INJECTION.md,
+ *  docs/SERVING.md, docs/HARVESTING.md, docs/BASELINES.md). */
 inline constexpr int kResultSchemaVersion = 8;
 
 /** "trace_schema" field of power-trace documents parsed and emitted

@@ -28,8 +28,6 @@ runErrorName(RunError e)
         return "harvest_source_invalid";
       case RunError::kHarvestPlatformUnknown:
         return "harvest_platform_unknown";
-      case RunError::kHarvestConverterInvalid:
-        return "harvest_converter_invalid";
       case RunError::kBaselineSchemeUnknown:
         return "baseline_scheme_unknown";
       case RunError::kProgramMissing:
@@ -68,8 +66,6 @@ runErrorMessage(RunError e)
         return "req.harvest.platform names no preset; see "
                "platformNames() (harvest/platform.hh) for the "
                "catalog";
-      case RunError::kHarvestConverterInvalid:
-        return "req.harvest.converterEfficiency must lie in (0, 1]";
       case RunError::kBaselineSchemeUnknown:
         return "req.baseline names no executable system/scheme for "
                "this request: use \"mouse\" or \"mcu:<scheme>\" "
@@ -109,10 +105,6 @@ validateRunRequest(const RunRequest &req)
         if (!req.harvest.platform.empty() &&
             platformByName(req.harvest.platform) == nullptr) {
             return RunError::kHarvestPlatformUnknown;
-        }
-        const double eff = req.harvest.converterEfficiency;
-        if (!(eff > 0.0 && eff <= 1.0)) {
-            return RunError::kHarvestConverterInvalid;
         }
     }
     BaselineSelector sel;
@@ -162,26 +154,6 @@ RunRequestBuilder::harvested(const HarvestConfig &h)
 {
     req_.power = PowerMode::Harvested;
     req_.harvest = h;
-    req_.schedule = nullptr;
-    req_.maxAttempts = 0;
-    return *this;
-}
-
-RunRequestBuilder &
-RunRequestBuilder::tracedSource(const SourceSpec &s)
-{
-    req_.power = PowerMode::Harvested;
-    req_.harvest.source = s;
-    req_.schedule = nullptr;
-    req_.maxAttempts = 0;
-    return *this;
-}
-
-RunRequestBuilder &
-RunRequestBuilder::platform(std::string name)
-{
-    req_.power = PowerMode::Harvested;
-    req_.harvest.platform = std::move(name);
     req_.schedule = nullptr;
     req_.maxAttempts = 0;
     return *this;

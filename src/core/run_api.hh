@@ -129,9 +129,6 @@ enum class RunError
     /** Harvested power naming a platform preset that is not in
      *  harvest/platform.hh's catalog. */
     kHarvestPlatformUnknown,
-    /** Harvested power with a converterEfficiency outside (0, 1]
-     *  or NaN. */
-    kHarvestConverterInvalid,
     /** req.baseline names no system/scheme this request can execute:
      *  an unparseable selector, an unknown MCU scheme, "sonic" (which
      *  only sweeps can calibrate), or a non-mouse system under
@@ -177,15 +174,6 @@ class RunRequestBuilder
 
     /** Harvested power under @p h; drops schedule/attempts. */
     RunRequestBuilder &harvested(const HarvestConfig &h);
-
-    /** Harvested power from @p s (keeping the rest of the current
-     *  harvest config); drops schedule/attempts like harvested(). */
-    RunRequestBuilder &tracedSource(const SourceSpec &s);
-
-    /** Harvested power on the named platform preset (keeping the
-     *  rest of the current harvest config); drops schedule/attempts
-     *  like harvested().  The name is checked by build(). */
-    RunRequestBuilder &platform(std::string name);
 
     /**
      * Scripted outages from @p s (borrowed) with an optional attempt

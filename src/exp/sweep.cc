@@ -91,11 +91,9 @@ SweepGrid::at(std::size_t index) const
 HarvestConfig
 SweepGrid::harvestFor(const SweepPoint &point) const
 {
-    HarvestConfig harvest = harvestBase;
+    HarvestConfig harvest;
     harvest.source = point.source;
-    if (!point.platform.empty()) {
-        harvest.platform = point.platform;
-    }
+    harvest.platform = point.platform;
     harvest.checkpointPeriod = point.checkpointPeriod;
     harvest.seed = point.seed;
     return harvest;

@@ -109,9 +109,6 @@ struct SweepGrid
     std::size_t seedsPerPoint = 1;
     /** Root of the per-point seed derivation. */
     std::uint64_t rootSeed = 1;
-    /** Template for harvested points; power, checkpoint period and
-     *  seed are overridden per point. */
-    HarvestConfig harvestBase{};
     /**
      * Telemetry channels every point records (all off by default).
      * Each point fills its own sinks; the runner folds them — in

@@ -5,10 +5,10 @@
  * A switched-capacitor DC-DC converter with conversion ratios
  * {0.75, 1, 1.5, 1.75} supplies every voltage the gates require
  * from the buffer capacitor.  Following the paper, the evaluation
- * itself runs on the power *supplied by* the converter (regulator
- * efficiency is outside the reported numbers), but the efficiency
- * is modelled so a deployment study can fold it in: the harvester
- * must then provide 1.25x-2.85x the consumed energy.
+ * runs on the power *supplied by* the converter: regulator
+ * efficiency (35-80 % for real converters) is outside the reported
+ * numbers, so the buffer -> load path is lossless and this class
+ * models only which rails the ratios reach.
  */
 
 #ifndef MOUSE_HARVEST_CONVERTER_HH
@@ -47,25 +47,15 @@ extendedConverterRatios()
 class SwitchedCapConverter
 {
   public:
-    /**
-     * @param efficiency Conversion efficiency in (0, 1]; the paper
-     *        quotes 35-80 % for real converters and excludes it from
-     *        the headline numbers (default 1.0).
-     * @param ratios Available conversion ratios, ascending.
-     */
+    /** @param ratios Available conversion ratios, ascending. */
     explicit SwitchedCapConverter(
-        double efficiency = 1.0,
         std::vector<double> ratios = paperConverterRatios())
-        : efficiency_(efficiency), ratios_(std::move(ratios))
+        : ratios_(std::move(ratios))
     {
-        mouse_assert(efficiency > 0.0 && efficiency <= 1.0,
-                     "efficiency out of range");
         mouse_assert(!ratios_.empty(), "no conversion ratios");
     }
 
     const std::vector<double> &ratios() const { return ratios_; }
-
-    double efficiency() const { return efficiency_; }
 
     /**
      * Lowest output rail >= @p required reachable from a buffer at
@@ -95,15 +85,7 @@ class SwitchedCapConverter
         return railFor(required, v_low).has_value();
     }
 
-    /** Buffer energy drawn to deliver @p load_energy at the output. */
-    Joules
-    bufferEnergyFor(Joules load_energy) const
-    {
-        return load_energy / efficiency_;
-    }
-
   private:
-    double efficiency_;
     std::vector<double> ratios_;
 };
 

@@ -16,19 +16,19 @@ platformCatalog()
          "80% regulator",
          platforms::kMementosCapacitance,
          platforms::kMementosMaxCapacitorVoltage,
-         platforms::kMementosConverterEfficiency},
+         platforms::kMementosFrontEndEfficiency},
         {"nvp",
          "NVP-style nonvolatile processor: 470 nF / 3.3 V ceramic, "
          "90% on-chip boost",
          platforms::kNvpCapacitance,
          platforms::kNvpMaxCapacitorVoltage,
-         platforms::kNvpConverterEfficiency},
+         platforms::kNvpFrontEndEfficiency},
         {"batteryless",
          "generic batteryless sensing node: 10 uF / 7.5 V buffer, "
          "70% discrete buck",
          platforms::kBatterylessCapacitance,
          platforms::kBatterylessMaxCapacitorVoltage,
-         platforms::kBatterylessConverterEfficiency},
+         platforms::kBatterylessFrontEndEfficiency},
     };
     return catalog;
 }

@@ -15,8 +15,8 @@
  *
  * A named platform replaces the system's default buffer capacitance
  * (HarvestConfig::capacitanceOverride still wins), and its front-end
- * efficiency derates the source; HarvestConfig::converterEfficiency
- * derates the load.
+ * efficiency derates the source.  The buffer -> load path is lossless
+ * (the paper's accounting).
  */
 
 #ifndef MOUSE_HARVEST_PLATFORM_HH
@@ -42,7 +42,7 @@ struct Platform
     /** Rated maximum buffer voltage. */
     Volts maxCapacitorVoltage;
     /** Front-end (harvester -> buffer) conversion efficiency. */
-    double converterEfficiency;
+    double frontEndEfficiency;
 };
 
 /** All presets, in stable listing order. */

@@ -19,7 +19,7 @@ namespace mouse::platforms
 
 inline constexpr Farads kBatterylessCapacitance = 10e-6;
 inline constexpr Volts kBatterylessMaxCapacitorVoltage = 7.5;
-inline constexpr double kBatterylessConverterEfficiency = 0.70;
+inline constexpr double kBatterylessFrontEndEfficiency = 0.70;
 
 } // namespace mouse::platforms
 

@@ -20,7 +20,7 @@ namespace mouse::platforms
 
 inline constexpr Farads kMementosCapacitance = 10e-6;
 inline constexpr Volts kMementosMaxCapacitorVoltage = 4.5;
-inline constexpr double kMementosConverterEfficiency = 0.80;
+inline constexpr double kMementosFrontEndEfficiency = 0.80;
 
 } // namespace mouse::platforms
 

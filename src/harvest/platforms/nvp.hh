@@ -20,7 +20,7 @@ namespace mouse::platforms
 
 inline constexpr Farads kNvpCapacitance = 4.7e-6;
 inline constexpr Volts kNvpMaxCapacitorVoltage = 3.3;
-inline constexpr double kNvpConverterEfficiency = 0.90;
+inline constexpr double kNvpFrontEndEfficiency = 0.90;
 
 } // namespace mouse::platforms
 

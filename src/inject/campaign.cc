@@ -8,7 +8,6 @@
 #include "core/run_api.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
-#include "inject/env_schedule.hh"
 #include "inject/idempotence.hh"
 
 namespace mouse::inject
@@ -108,16 +107,6 @@ enumerateSchedules(const CampaignConfig &cfg,
         }
         s.normalize();
         out.push_back(std::move(s));
-    }
-    // Environment-derived schedules, one per source, in declaration
-    // order (the walk itself is deterministic arithmetic).
-    for (const SourceSpec &src : cfg.envSources) {
-        EnvScheduleParams params;
-        params.attempts = goldenAttempts;
-        params.checkpointPeriod = cfg.checkpointPeriod;
-        params.restoreJournal = cfg.restoreJournal;
-        params.platform = cfg.envPlatform;
-        out.push_back(scheduleFromSource(src, params));
     }
     return out;
 }
@@ -317,15 +306,6 @@ CampaignReport::toJson() const
     j += ",\"max_outages\":" +
          std::to_string(config.maxOutagesPerSchedule);
     j += ",\"root_seed\":" + std::to_string(config.rootSeed);
-    j += ",\"env_sources\":[";
-    for (std::size_t i = 0; i < config.envSources.size(); ++i) {
-        if (i > 0) {
-            j += ",";
-        }
-        j += "\"" + jsonEscape(config.envSources[i].name()) + "\"";
-    }
-    j += "],\"env_platform\":\"" + jsonEscape(config.envPlatform) +
-         "\"";
     j += "},\"golden\":{";
     j += "\"committed\":" + std::to_string(goldenCommitted);
     j += ",\"attempts\":" + std::to_string(goldenAttempts);

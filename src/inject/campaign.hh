@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "harvest/source_spec.hh"
 #include "inject/state_diff.hh"
 #include "inject/workload.hh"
 #include "obs/stat_registry.hh"
@@ -98,16 +97,6 @@ struct CampaignConfig
     std::size_t maxOutagesPerSchedule = 3;
     /** Root of the per-schedule seed derivation (exp::deriveSeed). */
     std::uint64_t rootSeed = 1;
-    /**
-     * Environment-derived schedules: each SourceSpec is walked
-     * through inject/env_schedule.hh's energy-bucket model and its
-     * outages appended after the randomized schedules, so campaigns
-     * can replay the droughts a real harvesting scenario produces.
-     */
-    std::vector<SourceSpec> envSources;
-    /** Platform preset the env walk charges from (empty = the
-     *  EnvScheduleParams fallback capacitor). */
-    std::string envPlatform;
     /** Worker threads (0 = hardware concurrency). */
     unsigned threads = 1;
     /** Failures kept (with shrunk reproducers) in the report; the

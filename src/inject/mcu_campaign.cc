@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "baseline/mcu/eh_scheme.hh"
 #include "baseline/mcu/op_stream.hh"
-#include "common/logging.hh"
 #include "common/schema_versions.hh"
 #include "core/run_api.hh"
 #include "exp/sweep.hh"
@@ -15,6 +13,17 @@ namespace mouse::inject
 
 namespace
 {
+
+/** Desired Clank region length; idempotentCheckpoints() places the
+ *  regions WAR-hazard-safely. */
+constexpr unsigned kClankPeriod = 16;
+/** Randomized multi-outage schedules appended after the exhaustive
+ *  single-cut enumeration (one cut per op). */
+constexpr std::size_t kRandomSchedules = 32;
+/** Outages per random schedule: 2..this. */
+constexpr std::size_t kMaxOutagesPerSchedule = 3;
+/** Root of the per-schedule seed derivation (exp::deriveSeed). */
+constexpr std::uint64_t kRootSeed = 1;
 
 /** Deterministic non-zero per-op value: a slot left at 0 (an op that
  *  never executed) can never masquerade as a correct write. */
@@ -73,21 +82,17 @@ runCuts(const mcu::McuProgram &prog, const mcu::EhScheme &scheme,
 } // namespace
 
 McuCampaignReport
-runMcuCampaign(const CampaignWorkload &w, const McuCampaignConfig &cfg)
+runMcuCampaign(const CampaignWorkload &w, const mcu::EhScheme &scheme)
 {
-    const std::unique_ptr<mcu::EhScheme> scheme =
-        mcu::makeEhScheme(cfg.scheme);
-    if (!scheme) {
-        mouse_fatal("unknown MCU scheme \"%s\"", cfg.scheme.c_str());
-    }
+    const std::string name = scheme.name();
     mcu::McuProgram prog =
-        mcu::mcuProgramFromProgram(w.program, cfg.clankPeriod);
-    if (cfg.scheme == "clank") {
+        mcu::mcuProgramFromProgram(w.program, kClankPeriod);
+    if (name == "clank") {
         // Replace the uniform regions with the WAR-hazard-safe
         // placement the SONIC-style window baselines use; op i of a
         // program-built stream is instruction i, so PCs map 1:1.
         const std::vector<std::uint32_t> pcs =
-            idempotentCheckpoints(w.program, cfg.clankPeriod);
+            idempotentCheckpoints(w.program, kClankPeriod);
         mcu::setCheckpoints(
             prog, std::vector<std::uint64_t>(pcs.begin(), pcs.end()));
     }
@@ -100,11 +105,11 @@ runMcuCampaign(const CampaignWorkload &w, const McuCampaignConfig &cfg)
 
     McuCampaignReport report;
     report.workload = w.name;
-    report.scheme = cfg.scheme;
+    report.scheme = name;
     report.totalOps = n;
 
     auto record = [&](const std::vector<std::uint64_t> &cuts) {
-        const Verdict v = runCuts(prog, *scheme, cuts, golden,
+        const Verdict v = runCuts(prog, scheme, cuts, golden,
                                   report.replays);
         report.points++;
         report.verdicts[static_cast<std::size_t>(v)]++;
@@ -118,11 +123,10 @@ runMcuCampaign(const CampaignWorkload &w, const McuCampaignConfig &cfg)
         record({k});
     }
     // Randomized multi-cut schedules, seeded like every other sweep.
-    const std::size_t maxOut =
-        std::max<std::size_t>(cfg.maxOutagesPerSchedule, 2);
-    for (std::size_t r = 0; r < cfg.randomSchedules; ++r) {
-        const std::uint64_t seed = exp::deriveSeed(cfg.rootSeed, r);
-        const std::size_t outages = 2 + seed % (maxOut - 1);
+    for (std::size_t r = 0; r < kRandomSchedules; ++r) {
+        const std::uint64_t seed = exp::deriveSeed(kRootSeed, r);
+        const std::size_t outages =
+            2 + seed % (kMaxOutagesPerSchedule - 1);
         std::vector<std::uint64_t> cuts;
         cuts.reserve(outages);
         for (std::size_t j = 0; j < outages; ++j) {

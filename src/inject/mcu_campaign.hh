@@ -29,28 +29,12 @@
 #include <cstdint>
 #include <string>
 
+#include "baseline/mcu/eh_scheme.hh"
 #include "inject/campaign.hh"
 #include "inject/workload.hh"
 
 namespace mouse::inject
 {
-
-/** Shape of one MCU conformance campaign. */
-struct McuCampaignConfig
-{
-    /** EhScheme under test ("bec", "odab", "clank", "oracle"). */
-    std::string scheme = "bec";
-    /** Desired Clank region length, placed WAR-hazard-safely by
-     *  idempotentCheckpoints(); ignored by the other schemes. */
-    unsigned clankPeriod = 16;
-    /** Randomized multi-outage schedules appended after the
-     *  exhaustive single-cut enumeration (one cut per op). */
-    std::size_t randomSchedules = 32;
-    /** Outages per random schedule: 2..this. */
-    std::size_t maxOutagesPerSchedule = 3;
-    /** Root of the per-schedule seed derivation (exp::deriveSeed). */
-    std::uint64_t rootSeed = 1;
-};
 
 /** Deterministic aggregate of one MCU campaign. */
 struct McuCampaignReport
@@ -75,13 +59,15 @@ struct McuCampaignReport
 };
 
 /**
- * Run the campaign: golden state from one uncut pass over @p w's
- * program as an op stream, then every single-cut schedule plus
- * cfg.randomSchedules random multi-cut schedules, each classified
- * against golden.  Fatal on an unknown cfg.scheme.
+ * Run the campaign of @p scheme (mcu::makeEhScheme): golden state
+ * from one uncut pass over @p w's program as an op stream, then
+ * every single-cut schedule plus 32 seeded random multi-cut
+ * schedules of 2-3 cuts, each classified against golden.  Clank
+ * regions are 16 ops, placed WAR-hazard-safely by
+ * idempotentCheckpoints().
  */
 McuCampaignReport runMcuCampaign(const CampaignWorkload &w,
-                                 const McuCampaignConfig &cfg);
+                                 const mcu::EhScheme &scheme);
 
 } // namespace mouse::inject
 

@@ -174,12 +174,6 @@ class SimProbe
         if (wantsEvents() && offSince_ >= 0.0) {
             sink_->complete("outage", "power", offSince_,
                             t - offSince_);
-            // Same interval under the "stall" category: live-metrics
-            // consumers attribute brownout time separately from
-            // compute and queueing without re-deriving it from the
-            // power track (docs/OBSERVABILITY.md span taxonomy).
-            sink_->complete("outage_stall", "stall", offSince_,
-                            t - offSince_);
             sink_->instant("power_on", "power", t);
             sink_->counter("power_state", "power", t, 1.0);
         }
@@ -367,9 +361,9 @@ struct Cut
     MicroStep step = MicroStep::kExecute;
     /** Intra-phase fraction for Controller::stepInterrupted. */
     double fraction = 0.0;
-    /** Load-side energy the buffer delivered before dying. */
+    /** Energy the buffer delivered before dying. */
     Joules delivered = 0.0;
-    /** Buffer-side energy the instruction needed. */
+    /** Energy the instruction needed. */
     Joules need = 0.0;
 };
 
@@ -522,15 +516,20 @@ microStepFor(double fraction, Rng &rng)
     return MicroStep::kCommit;
 }
 
+/** Consecutive failed attempts at one instruction before a
+ *  harvested run is declared non-terminating. */
+constexpr unsigned kNonTerminationLimit = 8;
+
 /**
  * Capacitor + source power: the buffer capacitor inside its voltage
  * window, charged by the source through the platform's front end.
  * Power is cut when the buffer cannot cover the next unit of work on
  * top of the machine's reserve.
  *
- * Efficiencies (docs/HARVESTING.md): the platform's front end
- * derates the source, both while recharging and as in-burst credit;
- * HarvestConfig::converterEfficiency derates the load.
+ * Efficiency (docs/HARVESTING.md): the platform's front end derates
+ * the source, both while recharging and as in-burst credit.  The
+ * buffer -> load path is lossless, the paper's accounting, and every
+ * run starts from an empty buffer, the paper's initial condition.
  */
 struct HarvestEnv
 {
@@ -539,13 +538,10 @@ struct HarvestEnv
      *  @p vLow and @p vHigh. */
     HarvestEnv(const HarvestConfig &cfg, Farads defaultCapacitance,
                Volts vLow, Volts vHigh)
-        : cap(effectiveCapacitance(cfg, defaultCapacitance),
-              cfg.startEmpty ? 0.0 : vLow),
-          converter(cfg.converterEfficiency),
+        : cap(effectiveCapacitance(cfg, defaultCapacitance), 0.0),
           frontEnd(frontEndEfficiency(cfg)),
           sourceOwner(cfg.source.make()), source(*sourceOwner),
-          vLow(vLow), vHigh(vHigh), rng(cfg.seed),
-          limit(cfg.nonTerminationLimit)
+          vLow(vLow), vHigh(vHigh), rng(cfg.seed)
     {
     }
 
@@ -576,20 +572,13 @@ struct HarvestEnv
         return cap.energyAbove(vLow);
     }
 
-    /** Draw @p load joules of *load-side* energy from the buffer. */
-    void
-    drawLoad(Joules load)
-    {
-        cap.draw(converter.bufferEnergyFor(load));
-    }
-
     /** The run starts by charging the buffer to the restart level;
      *  the machine's reserve is fixed for the run. */
     template <class Machine>
     void
     begin(const Machine &m, RunStats &stats, SimProbe *p)
     {
-        reserve = converter.bufferEnergyFor(m.reserve());
+        reserve = m.reserve();
         recharge(stats, p);
     }
 
@@ -607,12 +596,7 @@ struct HarvestEnv
     std::uint64_t
     fit(const Machine &m)
     {
-        // A trace chunk's cost repeats burst after burst; convert it
-        // only when it changes (the division sits on the hot path).
-        if (const Joules cost = m.unitCost(); cost != needFor) {
-            needFor = cost;
-            need = converter.bufferEnergyFor(cost);
-        }
+        need = m.unitCost();
         if constexpr (Machine::kStepwise) {
             return available() >= need ? 1 : 0;
         } else {
@@ -639,7 +623,7 @@ struct HarvestEnv
     settle(const Machine &m, std::uint64_t n, const Work &w)
     {
         if constexpr (Machine::kStepwise) {
-            drawLoad(w.load);
+            cap.draw(w.load);
             cap.charge(source.power(now) * frontEnd, m.unitTime());
             if (cap.voltage() > vHigh) {
                 cap.setVoltage(vHigh);
@@ -660,8 +644,7 @@ struct HarvestEnv
         const Joules avail = std::max(available() - reserve, 0.0);
         const double fraction = need > 0.0 ? avail / need : 0.0;
         Cut c{now, m.unitTime() * std::min(1.0, fraction),
-              MicroStep::kExecute, 0.0, avail * converter.efficiency(),
-              need};
+              MicroStep::kExecute, 0.0, avail, need};
         if constexpr (Machine::kStepwise) {
             c.step = microStepFor(fraction, rng);
             c.fraction = std::clamp((fraction - 0.08) / 0.72, 0.0, 1.0);
@@ -675,7 +658,7 @@ struct HarvestEnv
     spend(Seconds dt, Joules load)
     {
         now += dt;
-        drawLoad(load);
+        cap.draw(load);
     }
 
     void
@@ -685,8 +668,6 @@ struct HarvestEnv
     }
 
     Capacitor cap;
-    /** Buffer -> load conversion. */
-    SwitchedCapConverter converter;
     /** Source -> buffer efficiency of the platform front end. */
     double frontEnd;
     std::unique_ptr<PowerSource> sourceOwner;
@@ -695,18 +676,15 @@ struct HarvestEnv
     Volts vHigh;
     /** Jitters the micro-step a cut lands on. */
     Rng rng;
-    /** Consecutive failed attempts before non-termination. */
-    unsigned limit;
+    static constexpr unsigned limit = kNonTerminationLimit;
     /** Absolute simulation time (for time-varying sources). */
     Seconds now = 0.0;
-    /** Buffer-side energy the machine keeps for its outage work. */
+    /** Energy the machine keeps for its outage work. */
     Joules reserve = 0.0;
-    /** Buffer-side cost of the pending instruction. */
+    /** Cost of the pending instruction. */
     Joules need = 0.0;
     /** Net per-instruction drain of the pending trace chunk. */
     Joules net = 0.0;
-    /** Load-side cost `need` was converted from. */
-    Joules needFor = -1.0;
 };
 
 /**

@@ -237,7 +237,7 @@ frontEndEfficiency(const HarvestConfig &harvest)
         mouse_fatal("unknown platform '%s'",
                     harvest.platform.c_str());
     }
-    return p->converterEfficiency;
+    return p->frontEndEfficiency;
 }
 
 RunStats

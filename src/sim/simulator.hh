@@ -41,7 +41,6 @@
 #include "compile/program.hh"
 #include "controller/controller.hh"
 #include "harvest/capacitor.hh"
-#include "harvest/converter.hh"
 #include "harvest/platform.hh"
 #include "harvest/power_source.hh"
 #include "harvest/source_spec.hh"
@@ -70,20 +69,10 @@ struct HarvestConfig
      * front-end efficiency derates the source (frontEndEfficiency).
      */
     std::string platform;
-    /** Buffer -> load converter efficiency in (0, 1]; it derates the
-     *  load.  1.0 reproduces the paper's accounting (regulator
-     *  overhead excluded). */
-    double converterEfficiency = 1.0;
     /** Non-zero: replace the configuration's buffer capacitor (the
      *  Capybara-style tuning knob; also lets small demo programs
      *  experience real outages). */
     Farads capacitanceOverride = 0.0;
-    /** Start from an empty buffer (the paper's initial condition);
-     *  when false the buffer starts at the shutdown voltage. */
-    bool startEmpty = true;
-    /** Consecutive failed attempts at one instruction before the run
-     *  is declared non-terminating. */
-    unsigned nonTerminationLimit = 8;
     /**
      * Checkpoint period in instructions (Section IV-D study knob).
      * MOUSE's design point is 1 (checkpoint every cycle); larger

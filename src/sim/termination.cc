@@ -27,8 +27,7 @@ analyzeTermination(const Trace &trace, const EnergyModel &energy,
         effectiveCapacitance(harvest, cfg.bufferCapacitance);
 
     TerminationReport report;
-    report.burstEnergy = burstEnergyFor(cfg, cap) *
-                         harvest.converterEfficiency;
+    report.burstEnergy = burstEnergyFor(cfg, cap);
 
     // The binding constraint is the block maximizing instruction +
     // restore cost (the restore after an outage inside that block
@@ -63,8 +62,7 @@ maxSafeParallelism(const EnergyModel &energy,
     const DeviceConfig &cfg = energy.config();
     const Farads cap =
         effectiveCapacitance(harvest, cfg.bufferCapacitance);
-    const Joules burst = burstEnergyFor(cfg, cap) *
-                         harvest.converterEfficiency;
+    const Joules burst = burstEnergyFor(cfg, cap);
 
     // Binary-search the widest gate instruction that still leaves
     // room for its own restore.  The ceiling is far above any

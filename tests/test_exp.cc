@@ -90,18 +90,17 @@ TEST(SweepGrid, DerivedSeedsAreStableAndDistinct)
     EXPECT_EQ(seeds.size(), 1000u);
 }
 
-TEST(SweepGrid, HarvestForAppliesPointAndBase)
+TEST(SweepGrid, HarvestForAppliesThePoint)
 {
     exp::SweepGrid grid = smallGrid();
-    grid.harvestBase.converterEfficiency = 0.9;
-    grid.harvestBase.nonTerminationLimit = 3;
+    grid.platforms = {"mementos", "nvp"};
     const exp::SweepPoint p = grid.at(grid.size() - 1);
     const HarvestConfig h = grid.harvestFor(p);
     EXPECT_EQ(h.source, p.source);
+    EXPECT_EQ(p.platform, "nvp");
+    EXPECT_EQ(h.platform, p.platform);
     EXPECT_EQ(h.checkpointPeriod, p.checkpointPeriod);
     EXPECT_EQ(h.seed, p.seed);
-    EXPECT_EQ(h.converterEfficiency, 0.9);
-    EXPECT_EQ(h.nonTerminationLimit, 3u);
 }
 
 // -- Scenario axes (docs/HARVESTING.md) -----------------------------

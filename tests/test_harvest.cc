@@ -388,8 +388,8 @@ TEST(Platform, CatalogNamesDatasheetPresets)
     EXPECT_EQ(mementos->capacitance, 10e-6);
     const Platform *nvp = platformByName("nvp");
     ASSERT_NE(nvp, nullptr);
-    EXPECT_GT(nvp->converterEfficiency,
-              platformByName("batteryless")->converterEfficiency);
+    EXPECT_GT(nvp->frontEndEfficiency,
+              platformByName("batteryless")->frontEndEfficiency);
     EXPECT_EQ(platformByName("unknown-board"), nullptr);
 }
 
@@ -467,18 +467,10 @@ TEST(Converter, CanSupplyChecksWindowBottom)
     EXPECT_FALSE(conv.canSupply(0.57, 0.32));
 }
 
-TEST(Converter, EfficiencyScalesBufferDraw)
-{
-    SwitchedCapConverter lossy(0.5);
-    EXPECT_DOUBLE_EQ(lossy.bufferEnergyFor(1e-6), 2e-6);
-    SwitchedCapConverter ideal;
-    EXPECT_DOUBLE_EQ(ideal.bufferEnergyFor(1e-6), 1e-6);
-}
-
 TEST(Converter, ExtendedRatiosReachHigherRails)
 {
-    const SwitchedCapConverter paper(1.0, paperConverterRatios());
-    const SwitchedCapConverter ext(1.0, extendedConverterRatios());
+    const SwitchedCapConverter paper(paperConverterRatios());
+    const SwitchedCapConverter ext(extendedConverterRatios());
     // 0.28 V from a 0.10 V buffer needs a 2.8x ratio.
     EXPECT_FALSE(paper.canSupply(0.28, 0.10));
     EXPECT_TRUE(ext.canSupply(0.28, 0.10));
@@ -493,8 +485,8 @@ TEST(Converter, RailCoverageOfSolvedOperatingPoints)
     // holds for Modern STT and SHE; the projected-STT write (through
     // the 76 kOhm AP path) needs the extended ratio set — the
     // documented divergence of EXPERIMENTS.md.
-    const SwitchedCapConverter paper(1.0, paperConverterRatios());
-    const SwitchedCapConverter ext(1.0, extendedConverterRatios());
+    const SwitchedCapConverter paper(paperConverterRatios());
+    const SwitchedCapConverter ext(extendedConverterRatios());
 
     auto all_covered = [](const GateLibrary &lib,
                           const SwitchedCapConverter &conv) {

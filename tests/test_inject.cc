@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "inject/campaign.hh"
-#include "inject/env_schedule.hh"
 #include "inject/replay.hh"
 #include "arch/tile.hh"
 #include "inject/workload.hh"
@@ -298,52 +297,6 @@ TEST(Campaign, ReportIsByteIdenticalAcrossThreadCounts)
     cfg.threads = 4;
     const std::string fparallel = runCampaign(w, cfg).toJson();
     EXPECT_EQ(fserial, fparallel);
-}
-
-TEST(EnvSchedule, SquareSourceDrainsTheBucketDeterministically)
-{
-    // A 30% duty square at attempt scale: the drought phase must
-    // starve the energy bucket and emit outage points, and the walk
-    // is pure arithmetic, so two calls agree exactly.
-    const SourceSpec square = SourceSpec::square(1e-4, 0.3, 1e-6);
-    EnvScheduleParams params;
-    params.attempts = 400;
-    params.attemptEnergy = 25e-12;
-    params.attemptPeriod = 1e-6;
-    params.fallbackCapacitance = 100e-12;
-    const OutageSchedule a = scheduleFromSource(square, params);
-    const OutageSchedule b = scheduleFromSource(square, params);
-    EXPECT_FALSE(a.points.empty());
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_EQ(a.points[i].attempt, b.points[i].attempt);
-        EXPECT_EQ(a.points[i].step, b.points[i].step);
-    }
-
-    // A strong constant source never drains the bucket.
-    const OutageSchedule calm = scheduleFromSource(
-        SourceSpec::constant(5e-3), params);
-    EXPECT_TRUE(calm.points.empty());
-}
-
-TEST(EnvSchedule, CampaignFoldsEnvSourcesIntoItsScheduleSet)
-{
-    const CampaignWorkload w = gates();
-    CampaignConfig cfg;
-    cfg.fractions = {0.5};
-    cfg.randomSchedules = 2;
-    const std::uint64_t baseline = runCampaign(w, cfg).points;
-
-    cfg.envSources = {SourceSpec::square(1e-4, 0.3, 1e-6)};
-    cfg.envPlatform = "nvp";
-    const CampaignReport rep = runCampaign(w, cfg);
-    const std::string j = rep.toJson();
-    EXPECT_NE(j.find("\"env_sources\":[\"square\"]"),
-              std::string::npos);
-    EXPECT_NE(j.find("\"env_platform\":\"nvp\""),
-              std::string::npos);
-    // One extra schedule per environment source.
-    EXPECT_EQ(rep.points, baseline + 1);
 }
 
 TEST(Campaign, ReportIsByteIdenticalScalarVsWordParallel)

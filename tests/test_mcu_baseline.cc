@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "baseline/mcu/datasheet.hh"
 #include "baseline/mcu/eh_scheme.hh"
@@ -271,13 +270,12 @@ TEST(McuCampaign, ExactResumeSchemesNeverReplay)
     const auto w = inject::makeCampaignWorkload("gates");
     ASSERT_TRUE(w.has_value());
     for (const char *name : {"bec", "odab", "oracle"}) {
-        inject::McuCampaignConfig cfg;
-        cfg.scheme = name;
         const inject::McuCampaignReport rep =
-            inject::runMcuCampaign(*w, cfg);
+            inject::runMcuCampaign(*w, *mcu::makeEhScheme(name));
         EXPECT_TRUE(rep.clean()) << name;
         EXPECT_EQ(rep.replays, 0u) << name;
-        EXPECT_GT(rep.points, 0u);
+        // One single cut per op plus the 32 random schedules.
+        EXPECT_EQ(rep.points, rep.totalOps + 32) << name;
         const auto match = static_cast<std::size_t>(
             inject::Verdict::kMatch);
         EXPECT_EQ(rep.verdicts[match], rep.points) << name;
@@ -288,11 +286,10 @@ TEST(McuCampaign, ClankReexecutesButNeverCorrupts)
 {
     const auto w = inject::makeCampaignWorkload("gates");
     ASSERT_TRUE(w.has_value());
-    inject::McuCampaignConfig cfg;
-    cfg.scheme = "clank";
     const inject::McuCampaignReport rep =
-        inject::runMcuCampaign(*w, cfg);
+        inject::runMcuCampaign(*w, *mcu::makeEhScheme("clank"));
     EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.points, rep.totalOps + 32);
     EXPECT_GT(rep.replays, 0u);
     const auto reex = static_cast<std::size_t>(
         inject::Verdict::kReexecuted);
@@ -567,42 +564,6 @@ TEST(RunApi, McuTelemetryTreeMatchesItsRunStats)
               res.stats.instructionsDead);
     EXPECT_EQ(res.statsTree->findCounter("sim.instr.committed")->value(),
               res.stats.instructionsCommitted);
-}
-
-TEST(RunApi, InvalidConverterEfficiencyIsATypedErrorOnBothSystems)
-{
-    Accelerator acc(smallConfig());
-    acc.loadProgram(adderProgram(acc));
-    for (const char *system : {"mouse", "mcu:bec"}) {
-        for (const double eff :
-             {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
-            // build() refuses invalid requests, so break it after.
-            RunRequest req = RunRequestBuilder()
-                                 .harvested(HarvestConfig{})
-                                 .baselineScheme(system)
-                                 .build();
-            req.harvest.converterEfficiency = eff;
-            EXPECT_EQ(validateRunRequest(req),
-                      RunError::kHarvestConverterInvalid)
-                << system << " " << eff;
-            const RunResult res = acc.execute(req);
-            EXPECT_EQ(res.error, RunError::kHarvestConverterInvalid)
-                << system << " " << eff;
-            EXPECT_EQ(res.stats.instructionsCommitted, 0u);
-        }
-        // The boundary is inclusive: a lossless converter runs.
-        HarvestConfig lossless;
-        lossless.converterEfficiency = 1.0;
-        lossless.capacitanceOverride = 10e-9;
-        EXPECT_TRUE(acc.execute(RunRequestBuilder()
-                                    .harvested(lossless)
-                                    .baselineScheme(system)
-                                    .build())
-                        .ok())
-            << system;
-    }
-    EXPECT_STREQ(runErrorName(RunError::kHarvestConverterInvalid),
-                 "harvest_converter_invalid");
 }
 
 TEST(RunApi, FunctionalRunWithoutAProgramIsATypedErrorOnBothSystems)

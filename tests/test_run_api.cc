@@ -335,48 +335,16 @@ TEST(RunApi, BuilderModeSwitchesClearStaleFields)
     EXPECT_EQ(validateRunRequest(req), RunError::kNone);
     EXPECT_FALSE(req.schedule);
     EXPECT_EQ(req.maxAttempts, 0u);
-}
 
-TEST(RunApi, BuilderTracedSourceDropsStaleScheduleFields)
-{
-    // scheduled() then tracedSource(): the new harvested request
-    // must not keep the outage schedule or attempt guard.
-    OutageSchedule s;
-    const RunRequest req =
-        RunRequestBuilder()
-            .scheduled(s, 9)
-            .tracedSource(SourceSpec::corpusTrace("rf-bursty"))
-            .build();
-    EXPECT_EQ(validateRunRequest(req), RunError::kNone);
-    EXPECT_EQ(req.power, PowerMode::Harvested);
-    EXPECT_FALSE(req.schedule);
-    EXPECT_EQ(req.maxAttempts, 0u);
-    EXPECT_EQ(req.harvest.source.corpus, "rf-bursty");
-}
-
-TEST(RunApi, BuilderPlatformComposesWithSources)
-{
-    OutageSchedule s;
-    const RunRequest req = RunRequestBuilder()
-                               .scheduled(s, 9)
-                               .platform("nvp")
-                               .build();
-    EXPECT_EQ(validateRunRequest(req), RunError::kNone);
-    EXPECT_EQ(req.power, PowerMode::Harvested);
-    EXPECT_FALSE(req.schedule);
-    EXPECT_EQ(req.harvest.platform, "nvp");
-    // Default source survives a platform-only selection.
-    EXPECT_TRUE(req.harvest.source.isConstant());
-
-    // Order does not matter: source then platform keeps both.
-    const RunRequest both =
-        RunRequestBuilder()
-            .tracedSource(SourceSpec::square(0.01, 0.3, 200e-6))
-            .platform("batteryless")
-            .build();
-    EXPECT_EQ(validateRunRequest(both), RunError::kNone);
-    EXPECT_EQ(both.harvest.source.kind, SourceKind::kSquare);
-    EXPECT_EQ(both.harvest.platform, "batteryless");
+    // scheduled() then harvested(): same for the harvested request.
+    const RunRequest harvested = RunRequestBuilder()
+                                     .scheduled(s, 9)
+                                     .harvested(HarvestConfig{})
+                                     .build();
+    EXPECT_EQ(validateRunRequest(harvested), RunError::kNone);
+    EXPECT_EQ(harvested.power, PowerMode::Harvested);
+    EXPECT_FALSE(harvested.schedule);
+    EXPECT_EQ(harvested.maxAttempts, 0u);
 }
 
 } // namespace

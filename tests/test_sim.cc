@@ -206,17 +206,23 @@ TEST_F(SimTest, SquareRechargeWaveformRisesToTheRestartVoltage)
         runHarvestedTrace(trace, energy, harvest, &telem);
     ASSERT_GT(stats.outages, 0u);
 
-    // Each outage's recharge runs from its power_off to its power_on.
+    // Each outage's recharge runs from its power_off to its power_on,
+    // and shows up once as an `outage` span (no duplicate under
+    // another name).
     std::vector<std::pair<Seconds, Seconds>> recharges;
     Seconds off = 0.0;
+    std::uint64_t outageSpans = 0;
     for (const obs::TraceEvent &e : telem.sink->events()) {
         if (e.name == "power_off") {
             off = e.tsUs * 1e-6;
         } else if (e.name == "power_on") {
             recharges.emplace_back(off, e.tsUs * 1e-6);
         }
+        outageSpans += e.name == "outage";
+        EXPECT_NE(e.name, "outage_stall");
     }
     ASSERT_EQ(recharges.size(), stats.outages);
+    EXPECT_EQ(outageSpans, stats.outages);
     const Volts vHigh = energy.config().capVoltageHigh;
     for (const auto &[from, to] : recharges) {
         std::vector<Volts> volts;

@@ -202,20 +202,16 @@ TEST_F(SimGolden, HarvestedTrace)
     };
     for (const auto &[label, source, trace] : sources) {
         for (unsigned period : {1u, 8u}) {
-            for (bool empty : {true, false}) {
-                HarvestConfig h;
-                h.source = source;
-                h.capacitanceOverride = 2e-9;  // force outages
-                h.checkpointPeriod = period;
-                h.startEmpty = empty;
-                const std::string name =
-                    std::string("harvested_trace/") + label + "/p" +
-                    std::to_string(period) +
-                    (empty ? "/empty" : "/low");
-                check(name, [&](obs::Telemetry *t) {
-                    return runHarvestedTrace(trace, energy_, h, t);
-                });
-            }
+            HarvestConfig h;
+            h.source = source;
+            h.capacitanceOverride = 2e-9;  // force outages
+            h.checkpointPeriod = period;
+            const std::string name = std::string("harvested_trace/") +
+                                     label + "/p" +
+                                     std::to_string(period) + "/empty";
+            check(name, [&](obs::Telemetry *t) {
+                return runHarvestedTrace(trace, energy_, h, t);
+            });
         }
     }
 }

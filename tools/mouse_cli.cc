@@ -808,32 +808,27 @@ resolveSourceSpec(const std::string &arg, SourceSpec &out)
     return true;
 }
 
-/** One-point grid for `bench`: reuses the runner end to end. */
-int
-cmdBench(const exp::Benchmark &b, const Options &opts)
+/**
+ * The one-benchmark grid `bench` and `sweep` share: --tech, the
+ * benchmark, --power-trace (which replaces the @p powers axis),
+ * --platform, --scheme and the telemetry @p out records.  nullopt
+ * once a --power-trace error is printed.
+ */
+std::optional<exp::SweepGrid>
+benchmarkGrid(const exp::Benchmark &b, const Options &opts,
+              std::vector<Watts> powers, const Outputs &out)
 {
-    Outputs out;
-    if (!out.open(opts)) {
-        return 2;
-    }
     exp::SweepGrid grid;
     grid.techs = {opts.tech};
     grid.benchmarks = {b};
     if (!opts.powerTrace.empty()) {
-        if (opts.continuous) {
-            std::fprintf(stderr,
-                         "--continuous and --power-trace are "
-                         "mutually exclusive\n");
-            return 2;
-        }
         SourceSpec spec;
         if (!resolveSourceSpec(opts.powerTrace, spec)) {
-            return 2;
+            return std::nullopt;
         }
         grid.sources = {spec};
     } else {
-        grid.powers = {opts.continuous ? exp::kContinuousPower
-                                       : opts.power};
+        grid.powers = std::move(powers);
     }
     if (!opts.platformName.empty()) {
         grid.platforms = {opts.platformName};
@@ -842,8 +837,30 @@ cmdBench(const exp::Benchmark &b, const Options &opts)
         grid.schemes = {opts.scheme};
     }
     grid.telemetry = out.traceConfig();
+    return grid;
+}
+
+/** One-point grid for `bench`: reuses the runner end to end. */
+int
+cmdBench(const exp::Benchmark &b, const Options &opts)
+{
+    Outputs out;
+    if (!out.open(opts)) {
+        return 2;
+    }
+    if (!opts.powerTrace.empty() && opts.continuous) {
+        std::fprintf(stderr, "--continuous and --power-trace are "
+                             "mutually exclusive\n");
+        return 2;
+    }
+    const auto grid = benchmarkGrid(
+        b, opts, {opts.continuous ? exp::kContinuousPower : opts.power},
+        out);
+    if (!grid) {
+        return 2;
+    }
     exp::ExperimentRunner runner(1);
-    const exp::SweepResult res = runner.run(grid);
+    const exp::SweepResult res = runner.run(*grid);
     const RunResult &r = res.points.front();
     if (!checkRunOk(r)) {
         return 2;
@@ -881,25 +898,10 @@ cmdSweep(const exp::Benchmark &b, const Options &opts)
     if (!out.open(opts)) {
         return 2;
     }
-    exp::SweepGrid grid;
-    grid.techs = {opts.tech};
-    grid.benchmarks = {b};
-    if (!opts.powerTrace.empty()) {
-        SourceSpec spec;
-        if (!resolveSourceSpec(opts.powerTrace, spec)) {
-            return 2;
-        }
-        grid.sources = {spec};
-    } else {
-        grid.powers = exp::powerSweep();
+    const auto grid = benchmarkGrid(b, opts, exp::powerSweep(), out);
+    if (!grid) {
+        return 2;
     }
-    if (!opts.platformName.empty()) {
-        grid.platforms = {opts.platformName};
-    }
-    if (!opts.scheme.empty()) {
-        grid.schemes = {opts.scheme};
-    }
-    grid.telemetry = out.traceConfig();
     exp::ExperimentRunner runner(opts.threads);
     ProgressMeter meter;
     if (progressWanted(opts)) {
@@ -908,7 +910,7 @@ cmdSweep(const exp::Benchmark &b, const Options &opts)
             meter.report(done, total);
         });
     }
-    const exp::SweepResult res = runner.run(grid);
+    const exp::SweepResult res = runner.run(*grid);
     for (const RunResult &r : res.points) {
         if (!checkRunOk(r)) {
             return 2;
