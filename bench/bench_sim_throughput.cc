@@ -341,11 +341,11 @@ BENCHMARK(BM_HarvestedTraceSvmMnist);
 
 /**
  * The same harvested run with every telemetry channel recording
- * (stats + events + waveform).  The delta against
- * BM_HarvestedTraceSvmMnist is the full observability overhead; the
- * tracing-off run above must stay within noise of historical numbers
- * (telemetry is a null pointer there, so the hooks cost one
- * never-taken branch).
+ * (stats + events + waveform).  An observed run runs every burst,
+ * while the untraced run above skips the repeated bursts of the
+ * constant source, so the delta is the telemetry plus the skipped
+ * bursts, not the telemetry alone.  CI gates the ratio of the two:
+ * a change that silently loses the skip fails it.
  */
 void
 BM_HarvestedTraceSvmMnistTraced(benchmark::State &state)

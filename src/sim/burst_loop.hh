@@ -22,6 +22,12 @@
  *   commit(n)     run n units and return their Work;
  *   interrupt(c)  the attempt died at Cut c: return the Outage.
  *
+ * A machine may also opt in to burst skipping (SkippableMachine):
+ *
+ *   burstKey()    its state at a burst start, which with the buffer
+ *                 voltage decides the whole burst;
+ *   skip(u)       move u units through the current chunk unrun.
+ *
  * A power says how many units fit before an outage and where the cut
  * lands, then recharges: ContinuousPower never cuts, SchedulePower
  * cuts where an OutageSchedule says, and HarvestEnv runs a capacitor
@@ -32,11 +38,15 @@
 #define MOUSE_SIM_BURST_LOOP_HH
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <concepts>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -386,6 +396,48 @@ struct Outage
     Overhead replay;
 };
 
+/** Add a committed chunk to the run's accounting. */
+inline void
+addWork(RunStats &stats, const Work &w)
+{
+    if (w.replay) {
+        stats.deadEnergy += w.exec + w.backup;
+        stats.deadTime += w.time;
+        stats.instructionsDead += w.count;
+        return;
+    }
+    stats.computeEnergy += w.exec;
+    stats.backupEnergy += w.backup;
+    stats.activeTime += w.time;
+    stats.instructionsCommitted += w.count;
+}
+
+/** Add an outage to the run's accounting: the attempt the cut of
+ *  @p cutTime killed, @p o, and @p charge seconds of recharge. */
+inline void
+addOutage(RunStats &stats, Seconds cutTime, const Outage &o,
+          Seconds charge)
+{
+    stats.deadEnergy += o.wasted;
+    stats.deadTime += cutTime;
+    ++stats.instructionsDead;
+    ++stats.outages;
+    if (o.backup.count > 0) {
+        stats.backupEnergy += o.backup.energy;
+        stats.restoreTime += o.backup.time;
+    }
+    stats.chargingTime += charge;
+    if (o.restore.count > 0) {
+        stats.restoreEnergy += o.restore.energy;
+        stats.restoreTime += o.restore.time;
+    }
+    if (o.replay.count > 0) {
+        stats.deadEnergy += o.replay.energy;
+        stats.deadTime += o.replay.time;
+        ++stats.instructionsDead;
+    }
+}
+
 /** Checkpoint discipline of a run without a schedule: MOUSE's
  *  per-cycle protocol. */
 inline const OutageSchedule kPerCycle;
@@ -453,10 +505,12 @@ class SchedulePower
         return c;
     }
 
-    void
-    recharge(RunStats &, [[maybe_unused]] SimProbe *probe)
+    /** Power is back at once: no charging time. */
+    Seconds
+    recharge([[maybe_unused]] SimProbe *probe)
     {
         MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
+        return 0.0;
     }
 
     void spend(Seconds dt, Joules) { now += dt; }
@@ -541,14 +595,15 @@ struct HarvestEnv
         : cap(effectiveCapacitance(cfg, defaultCapacitance), 0.0),
           frontEnd(frontEndEfficiency(cfg)),
           sourceOwner(cfg.source.make()), source(*sourceOwner),
-          vLow(vLow), vHigh(vHigh), rng(cfg.seed)
+          timeInvariant(cfg.source.isConstant()), vLow(vLow),
+          vHigh(vHigh), rng(cfg.seed)
     {
     }
 
-    /** Charge to the restart voltage through the front end,
-     *  logging the off time. */
-    void
-    recharge(RunStats &stats, [[maybe_unused]] SimProbe *probe)
+    /** Charge to the restart voltage through the front end; returns
+     *  the seconds it took. */
+    Seconds
+    recharge([[maybe_unused]] SimProbe *probe)
     {
         const Seconds dt =
             source.timeToHarvest(cap.energyTo(vHigh), now, frontEnd);
@@ -560,10 +615,10 @@ struct HarvestEnv
                                                     cap.voltage(), vHigh,
                                                     cap.capacitance(),
                                                     source));
-        stats.chargingTime += dt;
         now += dt;
         cap.setVoltage(vHigh);
         MOUSE_OBS_HOOK(probe, probe->rechargeDone(now));
+        return dt;
     }
 
     Joules
@@ -579,7 +634,7 @@ struct HarvestEnv
     begin(const Machine &m, RunStats &stats, SimProbe *p)
     {
         reserve = m.reserve();
-        recharge(stats, p);
+        stats.chargingTime += recharge(p);
     }
 
     bool exhausted() const { return false; }
@@ -672,6 +727,9 @@ struct HarvestEnv
     double frontEnd;
     std::unique_ptr<PowerSource> sourceOwner;
     const PowerSource &source;
+    /** The source's power never changes, so neither does what a
+     *  burst does from a given buffer voltage. */
+    bool timeInvariant;
     Volts vLow;
     Volts vHigh;
     /** Jitters the micro-step a cut lands on. */
@@ -687,10 +745,231 @@ struct HarvestEnv
     Joules net = 0.0;
 };
 
+/** A machine whose repeated bursts the loop may skip. */
+template <class M>
+concept SkippableMachine = requires(M &m, const M &cm) {
+    { cm.burstKey() == cm.burstKey() } -> std::convertible_to<bool>;
+    m.skip(std::uint64_t{});
+};
+
+/** The loop's accounting, unrecorded. */
+struct NoTape
+{
+    void commit(const Work &) {}
+    void outage(Seconds, const Outage &, Seconds) {}
+};
+
+/**
+ * Repeated-burst skipping, off: the loop runs every burst.  This is
+ * the case for stepwise and non-opting machines, and for scripted
+ * and continuous power.
+ */
+template <class Machine, class Power>
+struct BurstCycles
+{
+    static constexpr bool kSkips = false;
+
+    BurstCycles(const Power &, obs::Telemetry *) {}
+};
+
+/**
+ * Repeated-burst skipping on a harvesting environment
+ * (docs/HARVESTING.md, "Repeated bursts").  On a time-invariant
+ * source a burst is decided by the buffer voltage and the machine's
+ * burst key at its start, so a state seen before starts the same
+ * bursts again.  Brent's cycle finding compares each burst start
+ * with one anchor, moved at powers of two, which costs O(1) a burst.
+ * Once the state returns, the loop runs one more cycle on a Tape; if
+ * the state returns again, skip() applies the taped additions k more
+ * times in the loop's order, so RunStats and the clock come out
+ * bit-identical, and moves the machine past the units those cycles
+ * would commit.  The current chunk must hold more than k cycles'
+ * units, so every skipped burst still ends in an outage.  A burst
+ * that commits nothing restarts the search: it is never skipped, and
+ * the non-termination check sees every one.
+ */
+template <SkippableMachine Machine>
+class BurstCycles<Machine, HarvestEnv>
+{
+    /** One accounting step of the loop. */
+    struct Step
+    {
+        Work w;
+        Seconds cutTime;
+        Outage o;
+        Seconds charge;
+        bool outage;
+    };
+
+  public:
+    static constexpr bool kSkips = true;
+
+    /** The loop's accounting over one cycle, step by step. */
+    class Tape
+    {
+      public:
+        void
+        commit(const Work &w)
+        {
+            steps_.push_back({w, 0.0, {}, 0.0, false});
+        }
+
+        void
+        outage(Seconds cutTime, const Outage &o, Seconds charge)
+        {
+            steps_.push_back({{}, cutTime, o, charge, true});
+        }
+
+      private:
+        friend BurstCycles;
+        std::vector<Step> steps_;
+    };
+
+    /** Observed runs see every burst, so they never skip. */
+    BurstCycles(const HarvestEnv &power, obs::Telemetry *telem)
+        : enabled_(power.timeInvariant && telem == nullptr)
+    {
+    }
+
+    /**
+     * A burst starts; @p committed says the one before it committed
+     * work.  Returns the bursts in a cycle worth taping (the state is
+     * back at the anchor and the chunk holds more than two cycles),
+     * else 0.
+     */
+    unsigned
+    burstStart(const Machine &m, const HarvestEnv &power, bool committed)
+    {
+        if (!enabled_) {
+            return 0;
+        }
+        const State s = state(m, power);
+        if (!committed || !(s.key == anchor_.key)) {
+            reanchor(s, m.pending());
+            return 0;
+        }
+        ++bursts_;
+        if (s.volts == anchor_.volts) {
+            const unsigned cycle = bursts_;
+            const std::uint64_t units = anchorPending_ - m.pending();
+            reanchor(s, m.pending());
+            return m.pending() > 2 * units ? cycle : 0;
+        }
+        if (bursts_ == limit_) {
+            anchor_ = s;
+            anchorPending_ = m.pending();
+            limit_ = std::min(2 * limit_, kMaxCycle);
+            bursts_ = 0;
+        }
+        return 0;
+    }
+
+    /**
+     * The loop ran the cycle burstStart() asked for onto @p tape;
+     * @p committed says every burst of it committed work.  If the
+     * state is back where the tape started, apply the tape k more
+     * times and move the machine past the units they commit.
+     */
+    void
+    skip(Machine &m, HarvestEnv &power, RunStats &stats, const Tape &tape,
+         bool committed)
+    {
+        if (m.done()) {
+            return;
+        }
+        const State s = state(m, power);
+        if (committed && s.key == anchor_.key &&
+            s.volts == anchor_.volts && m.pending() < anchorPending_) {
+            // The chunk holds more than k cycles' units.
+            const std::uint64_t units = anchorPending_ - m.pending();
+            const std::uint64_t k = (m.pending() - 1) / units;
+            power.now = replay(tape.steps_, k, stats, power.now);
+            m.skip(k * units);
+        }
+        reanchor(s, m.pending());
+    }
+
+  private:
+    /** Longest cycle, in bursts, the search looks for (the paper
+     *  grid's longest is 37). */
+    static constexpr unsigned kMaxCycle = 64;
+
+    struct State
+    {
+        std::uint64_t volts;
+        decltype(std::declval<const Machine &>().burstKey()) key;
+    };
+
+    static State
+    state(const Machine &m, const HarvestEnv &power)
+    {
+        return {std::bit_cast<std::uint64_t>(power.cap.voltage()),
+                m.burstKey()};
+    }
+
+    void
+    reanchor(const State &s, std::uint64_t pending)
+    {
+        anchor_ = s;
+        anchorPending_ = pending;
+        bursts_ = 0;
+        limit_ = 1;
+    }
+
+    /**
+     * Apply @p steps @p k times to @p stats, and return the clock
+     * @p now advanced as HarvestEnv's settle, cut, spend and recharge
+     * do.  Out of line: it runs once per skip, and the loop's code
+     * stays small.
+     */
+    [[gnu::noinline]] static Seconds
+    replay(const std::vector<Step> &steps, std::uint64_t k,
+           RunStats &stats, Seconds now)
+    {
+        RunStats s = stats;
+        for (; k > 0; --k) {
+            for (const Step &step : steps) {
+                if (!step.outage) {
+                    now += step.w.time;
+                    addWork(s, step.w);
+                    continue;
+                }
+                const Outage &o = step.o;
+                now += step.cutTime;
+                if (o.backup.count > 0) {
+                    now += o.backup.time;
+                }
+                now += step.charge;
+                if (o.restore.count > 0) {
+                    now += o.restore.time;
+                }
+                if (o.replay.count > 0) {
+                    now += o.replay.time;
+                }
+                addOutage(s, step.cutTime, o, step.charge);
+            }
+        }
+        stats = s;
+        return now;
+    }
+
+    bool enabled_;
+    /** The first burst start only anchors: no voltage has these
+     *  bits. */
+    State anchor_{~std::uint64_t{0}, {}};
+    /** Units pending at the anchor. */
+    std::uint64_t anchorPending_ = 0;
+    /** Bursts since the anchor. */
+    unsigned bursts_ = 0;
+    /** The anchor moves after this many bursts. */
+    unsigned limit_ = 1;
+};
+
 /**
  * The burst loop behind every runner: commit what the power covers;
  * on a cut, account the dead attempt, back up, recharge, restart and
- * replay.  It owns all RunStats accounting and every probe call.
+ * replay.  It owns all RunStats accounting and every probe call, and
+ * lets BurstCycles skip the bursts that repeat.
  */
 template <class Machine, class Power>
 RunStats
@@ -701,27 +980,22 @@ runBursts(Machine &&m, Power &&power, obs::Telemetry *telem)
     SimProbe *const hooks = telem ? &probe : nullptr;
     power.begin(m, stats, hooks);
     unsigned failures = 0;
-    while (!m.done() && !power.exhausted()) {
+    // One turn of the loop: commit what the power covers, or take an
+    // outage (then it returns true), telling @p tape what it adds.
+    const auto turn = [&](auto &tape) {
         if (const std::uint64_t n = power.fit(m); n > 0) {
             failures = 0;
             [[maybe_unused]] const Seconds t0 = power.now;
             const Work w = m.commit(n);
             power.settle(m, n, w);
+            addWork(stats, w);
+            tape.commit(w);
             if (w.replay) {
-                stats.deadEnergy += w.exec + w.backup;
-                stats.deadTime += w.time;
-                stats.instructionsDead += w.count;
                 MOUSE_OBS_HOOK(telem, {
                     probe.deadReplay(w.count, t0, w.time);
                     power.sample(probe);
                 });
-                continue;
-            }
-            stats.computeEnergy += w.exec;
-            stats.backupEnergy += w.backup;
-            stats.activeTime += w.time;
-            stats.instructionsCommitted += w.count;
-            if (w.count > 0) {
+            } else if (w.count > 0) {
                 MOUSE_OBS_HOOK(telem, {
                     if constexpr (std::decay_t<Machine>::kStepwise) {
                         probe.commitInstr(t0, w.time, w.pc, w.op);
@@ -732,46 +1006,63 @@ runBursts(Machine &&m, Power &&power, obs::Telemetry *telem)
                     power.sample(probe);
                 });
             }
-            continue;
+            return false;
         }
         // Outage mid-instruction: the attempt is Dead work.
         const Cut cut = power.cut(m);
         const Outage o = m.interrupt(cut);
-        stats.deadEnergy += o.wasted;
-        stats.deadTime += cut.time;
-        ++stats.instructionsDead;
-        ++stats.outages;
         if (o.backup.count > 0) {
-            stats.backupEnergy += o.backup.energy;
-            stats.restoreTime += o.backup.time;
             MOUSE_OBS_HOOK(telem, probe.backup(power.now, o.backup.time,
                                                o.backup.energy));
             power.spend(o.backup.time, o.backup.energy);
         }
         MOUSE_OBS_HOOK(telem, probe.outageBegin(cut.at, cut.time,
                                                 o.wasted, power.now));
-        power.recharge(stats, hooks);
+        const Seconds charge = power.recharge(hooks);
         if (o.restore.count > 0) {
-            stats.restoreEnergy += o.restore.energy;
-            stats.restoreTime += o.restore.time;
             MOUSE_OBS_HOOK(telem, probe.restore(power.now, o.restore.time,
                                                 o.restore.energy));
             power.spend(o.restore.time, o.restore.energy);
         }
         if (o.replay.count > 0) {
-            stats.deadEnergy += o.replay.energy;
-            stats.deadTime += o.replay.time;
-            ++stats.instructionsDead;
             MOUSE_OBS_HOOK(telem, probe.deadReplay(o.replay.count,
                                                    power.now,
                                                    o.replay.time));
             power.spend(o.replay.time, o.replay.energy);
         }
+        addOutage(stats, cut.time, o, charge);
+        tape.outage(cut.time, o, charge);
         if (++failures > power.limit) {
             mouse_fatal("non-termination: a full burst cannot cover "
                         "one %.3g J instruction plus restore; reduce "
                         "parallelism or enlarge the capacitor",
                         cut.need);
+        }
+        return true;
+    };
+    using Cycles = BurstCycles<std::decay_t<Machine>, std::decay_t<Power>>;
+    [[maybe_unused]] Cycles cycles(power, telem);
+    NoTape none;
+    while (!m.done() && !power.exhausted()) {
+        if (!turn(none)) {
+            continue;
+        }
+        if constexpr (Cycles::kSkips) {
+            // A commit resets failures, so 1 means the burst
+            // committed (the first burst start only anchors).
+            const unsigned cycle =
+                cycles.burstStart(m, power, failures == 1);
+            if (cycle > 0) {
+                typename Cycles::Tape tape;
+                bool committed = true;
+                for (unsigned b = 0; b < cycle && !m.done();) {
+                    if (turn(tape)) {
+                        committed &= failures == 1;
+                        ++b;
+                    }
+                }
+                cycles.skip(m, power, stats, tape, committed);
+            }
         }
     }
     stats.idleEnergy += m.idlePower() * stats.activeTime;

@@ -1,6 +1,7 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/burst_loop.hh"
@@ -59,6 +60,24 @@ class TraceMachine
             enter(block_ + 1);
         }
         return w;
+    }
+
+    /** The state a burst starts from, besides the buffer: the
+     *  block decides the chunk's cost, and uncheckpointed_ the
+     *  replay an outage costs. */
+    std::pair<std::size_t, std::uint64_t>
+    burstKey() const
+    {
+        return {block_, uncheckpointed_};
+    }
+
+    /** Move @p u units through the current block without running
+     *  them; the block keeps at least one. */
+    void
+    skip(std::uint64_t u)
+    {
+        mouse_assert(u < remaining_, "skip past the block's end");
+        remaining_ -= u;
     }
 
     /**

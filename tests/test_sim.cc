@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "compile/builder.hh"
+#include "exp/names.hh"
+#include "exp/workloads.hh"
 #include "sim/simulator.hh"
 
 namespace mouse
@@ -352,6 +356,140 @@ TEST_F(SimTest, CheckpointPeriodOneIsDefaultBehaviour)
     const RunStats rb = runHarvestedTrace(trace, energy, b);
     EXPECT_DOUBLE_EQ(ra.totalEnergy(), rb.totalEnergy());
     EXPECT_DOUBLE_EQ(ra.totalTime(), rb.totalTime());
+}
+
+/** Every RunStats field, floats in hex: equal strings are equal
+ *  bits. */
+std::vector<std::pair<const char *, std::string>>
+hexFields(const RunStats &s)
+{
+    const auto hex = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%a", v);
+        return std::string(buf);
+    };
+    return {{"committed", std::to_string(s.instructionsCommitted)},
+            {"dead", std::to_string(s.instructionsDead)},
+            {"outages", std::to_string(s.outages)},
+            {"active", hex(s.activeTime)},
+            {"deadT", hex(s.deadTime)},
+            {"restoreT", hex(s.restoreTime)},
+            {"charging", hex(s.chargingTime)},
+            {"compute", hex(s.computeEnergy)},
+            {"backup", hex(s.backupEnergy)},
+            {"deadE", hex(s.deadEnergy)},
+            {"restoreE", hex(s.restoreEnergy)},
+            {"idle", hex(s.idleEnergy)}};
+}
+
+/**
+ * A plain harvested trace run, which may skip repeated bursts, must
+ * be bit-identical to one with stats telemetry, which runs every
+ * burst.  Returns the outage count.
+ */
+std::uint64_t
+expectFullLoopStats(const Trace &trace, const EnergyModel &energy,
+                    const HarvestConfig &h, const std::string &label)
+{
+    const RunStats plain = runHarvestedTrace(trace, energy, h);
+    obs::Telemetry telem = obs::Telemetry::make({.stats = true});
+    const RunStats full = runHarvestedTrace(trace, energy, h, &telem);
+    const auto a = hexFields(plain);
+    const auto b = hexFields(full);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].second, b[i].second) << label << ' ' << a[i].first;
+    }
+    return full.outages;
+}
+
+/** Paper benchmark index; the suite covers the three techs, the
+ *  paper's power range and two buffers for each. */
+class BurstSkip : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(BurstSkip, MatchesTheFullLoopOnThePaperGrid)
+{
+    const exp::Benchmark &bench = exp::paperBenchmarks()[GetParam()];
+    for (const TechConfig tech : names::allTechs()) {
+        const GateLibrary lib(makeDeviceConfig(tech));
+        const EnergyModel energy(lib);
+        const Trace trace = exp::traceFor(lib, bench);
+        for (const unsigned period : {1u, 2u, 8u, 64u, 256u}) {
+            for (const Watts power : {60e-6, 1e-3, 5e-3}) {
+                for (const char *platform : {"", "mementos"}) {
+                    HarvestConfig h;
+                    h.source = SourceSpec::constant(power);
+                    h.checkpointPeriod = period;
+                    h.platform = platform;
+                    expectFullLoopStats(
+                        trace, energy, h,
+                        std::string(names::techName(tech)) + " p" +
+                            std::to_string(period) + " " +
+                            std::to_string(power) + " W '" + platform +
+                            "'");
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperBenchmarks, BurstSkip,
+    ::testing::Range<std::size_t>(0, exp::paperBenchmarks().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        std::string key = names::listBenchmarks()[info.param];
+        std::replace(key.begin(), key.end(), '-', '_');
+        return key;
+    });
+
+TEST_F(SimTest, BurstSkipEndsABurstExactlyAtABlockEnd)
+{
+    // Repeated bursts commit 305 NANDs each, so among 400
+    // consecutive block lengths one leaves exactly one burst's worth
+    // after the skip: that burst ends at the block's end, and the
+    // next block starts mid-burst.
+    EnergyModel energy(lib_);
+    HarvestConfig h;
+    h.source = SourceSpec::constant(1e-6);
+    h.capacitanceOverride = 2e-9;
+    for (std::uint64_t len = 2000; len < 2400; ++len) {
+        Trace trace;
+        trace.append(Opcode::kGateNand2, 4, 4, len);
+        trace.append(Opcode::kGateNor2, 4, 4, 1000);
+        EXPECT_GT(expectFullLoopStats(trace, energy, h,
+                                      "len " + std::to_string(len)),
+                  8u);
+    }
+}
+
+TEST(BurstSkipCycles, PeriodEightAlternatesTwoBursts)
+{
+    // At period 8 the replay an outage costs is n % 8, so SVM MNIST
+    // on Modern STT alternates two burst lengths: the cycle is two
+    // bursts long.
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ModernStt));
+    const EnergyModel energy(lib);
+    const Trace trace = exp::traceFor(lib, exp::paperBenchmarks()[0]);
+    HarvestConfig h;
+    h.source = SourceSpec::constant(60e-6);
+    h.checkpointPeriod = 8;
+    EXPECT_GT(expectFullLoopStats(trace, energy, h, "mnist p8"), 1000u);
+}
+
+TEST(BurstSkipCycles, BurstsThatNeverRepeatRunInFull)
+{
+    // At period 256 SVM MNIST's bursts on SHE at 60 uW never return
+    // to an earlier state, so the search runs over every burst and
+    // finds nothing to skip.
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedShe));
+    const EnergyModel energy(lib);
+    const Trace trace = exp::traceFor(lib, exp::paperBenchmarks()[0]);
+    HarvestConfig h;
+    h.source = SourceSpec::constant(60e-6);
+    h.checkpointPeriod = 256;
+    EXPECT_GT(expectFullLoopStats(trace, energy, h, "mnist p256"),
+              1000u);
 }
 
 TEST(RunStatsDerived, SharesAreZeroWhenTotalsAreZero)

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "compile/builder.hh"
+#include "exp/workloads.hh"
 #include "sim/simulator.hh"
 
 namespace mouse
@@ -190,21 +191,28 @@ TEST_F(SimGolden, Continuous)
 
 TEST_F(SimGolden, HarvestedTrace)
 {
+    // A paper trace on the technology's buffer: thousands of
+    // outages, most of them inside long blocks on a constant source,
+    // where the plain run skips repeated bursts.
+    const Trace mnist = exp::traceFor(lib_, exp::paperBenchmarks()[0]);
     const struct
     {
         const char *label;
         SourceSpec source;
         const Trace &trace;
+        Farads capacitance;
     } sources[] = {
-        {"constant", SourceSpec::constant(1e-6), trace_},
-        {"square", SourceSpec::square(0.01, 0.3, 200e-6), long_},
-        {"rf-bursty", SourceSpec::corpusTrace("rf-bursty"), long_},
+        // 2 nF forces outages; 0 keeps the technology's buffer.
+        {"constant", SourceSpec::constant(1e-6), trace_, 2e-9},
+        {"square", SourceSpec::square(0.01, 0.3, 200e-6), long_, 2e-9},
+        {"rf-bursty", SourceSpec::corpusTrace("rf-bursty"), long_, 2e-9},
+        {"mnist-60uw", SourceSpec::constant(60e-6), mnist, 0.0},
     };
-    for (const auto &[label, source, trace] : sources) {
+    for (const auto &[label, source, trace, capacitance] : sources) {
         for (unsigned period : {1u, 8u}) {
             HarvestConfig h;
             h.source = source;
-            h.capacitanceOverride = 2e-9;  // force outages
+            h.capacitanceOverride = capacitance;
             h.checkpointPeriod = period;
             const std::string name = std::string("harvested_trace/") +
                                      label + "/p" +
