@@ -7,9 +7,9 @@ namespace mouse
 
 KernelBuilder::KernelBuilder(const GateLibrary &lib,
                              const ArrayConfig &cfg, TileAddr tile,
-                             unsigned first_free_row)
+                             unsigned first_free_row, Mode mode)
     : lib_(lib), cfg_(cfg), tile_(tile),
-      rows_(cfg.tileRows, first_free_row),
+      rows_(cfg.tileRows, first_free_row), mode_(mode),
       locality_(lib.config().wireResistancePerCell > 0.0)
 {
     mouse_assert(tile < cfg.numDataTiles || tile == kBroadcastTile,
@@ -26,16 +26,21 @@ KernelBuilder::allocOut(unsigned parity, RowAddr anchor)
 void
 KernelBuilder::activate(ColAddr lo, ColAddr hi)
 {
-    program_.instructions.push_back(
-        Instruction::activateRange(lo, hi, true));
+    mouse_assert(mode_ == Mode::kRecord,
+                 "a counting builder measures a kernel body; its "
+                 "caller places the activation");
+    emit(Opcode::kActivateRange,
+         [&] { return Instruction::activateRange(lo, hi, true); });
 }
 
 Program
 KernelBuilder::finish()
 {
+    mouse_assert(mode_ == Mode::kRecord,
+                 "finish() on a counting builder");
     mouse_assert(!finished_, "finish() called twice");
     finished_ = true;
-    program_.instructions.push_back(Instruction::halt());
+    emit(Opcode::kHalt, [] { return Instruction::halt(); });
     return std::move(program_);
 }
 
@@ -56,22 +61,22 @@ KernelBuilder::pinnedWord(RowAddr start, unsigned bits,
 void
 KernelBuilder::readRow(RowAddr row)
 {
-    program_.instructions.push_back(
-        Instruction::readRow(tile_, row));
+    emit(Opcode::kReadRow, [&] { return Instruction::readRow(tile_, row); });
 }
 
 void
 KernelBuilder::writeRow(RowAddr row)
 {
-    program_.instructions.push_back(
-        Instruction::writeRow(tile_, row));
+    emit(Opcode::kWriteRow,
+         [&] { return Instruction::writeRow(tile_, row); });
 }
 
 void
 KernelBuilder::writeRowShifted(RowAddr row, ColAddr shift)
 {
-    program_.instructions.push_back(
-        Instruction::writeRowShifted(tile_, row, shift));
+    emit(Opcode::kWriteRowShifted, [&] {
+        return Instruction::writeRowShifted(tile_, row, shift);
+    });
 }
 
 Word
@@ -142,28 +147,25 @@ KernelBuilder::freeWord(Word &w)
 void
 KernelBuilder::emitPreset(Bit value, RowAddr row)
 {
-    program_.instructions.push_back(
-        Instruction::preset(value, tile_, row));
+    emit(value ? Opcode::kPreset1 : Opcode::kPreset0,
+         [&] { return Instruction::preset(value, tile_, row); });
 }
 
 void
 KernelBuilder::emitGate(GateType g, const std::array<RowAddr, 3> &in,
                         int n, RowAddr out)
 {
-    switch (n) {
-      case 1:
-        program_.instructions.push_back(
-            Instruction::gate(g, tile_, in[0], out));
-        break;
-      case 2:
-        program_.instructions.push_back(
-            Instruction::gate(g, tile_, in[0], in[1], out));
-        break;
-      default:
-        program_.instructions.push_back(
-            Instruction::gate(g, tile_, in[0], in[1], in[2], out));
-        break;
-    }
+    emit(opcodeFromGate(g), [&] {
+        switch (n) {
+          case 1:
+            return Instruction::gate(g, tile_, in[0], out);
+          case 2:
+            return Instruction::gate(g, tile_, in[0], in[1], out);
+          default:
+            return Instruction::gate(g, tile_, in[0], in[1], in[2],
+                                     out);
+        }
+    });
 }
 
 bool

@@ -26,6 +26,8 @@
 #ifndef MOUSE_COMPILE_BUILDER_HH
 #define MOUSE_COMPILE_BUILDER_HH
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -56,26 +58,50 @@ using Word = std::vector<Val>;
 class KernelBuilder
 {
   public:
+    /** What the builder keeps of the code it generates. */
+    enum class Mode
+    {
+        /** Store every instruction; finish() returns the Program. */
+        kRecord,
+        /**
+         * Count opcodes only.  Generated code is data-oblivious, so
+         * the histogram is a kernel's whole cost; this is how the
+         * mapping measures kernel mixes without storing a Program.
+         * Calling activate() or finish() on a counting builder is a
+         * caller bug: the trace that repeats the mix places those.
+         */
+        kCount,
+    };
+
+    /** Instructions emitted, indexed by opcode. */
+    using OpcodeCounts =
+        std::array<std::uint64_t,
+                   static_cast<std::size_t>(Opcode::kNumOpcodes)>;
+
     /**
      * @param lib Gate library (feasibility + device parameters).
      * @param cfg Array geometry.
      * @param tile Tile the kernel executes in.
      * @param first_free_row First row the allocator may hand out;
      *        rows below it are owned by the caller's data layout.
+     * @param mode Record a Program, or only count opcodes.
      */
     KernelBuilder(const GateLibrary &lib, const ArrayConfig &cfg,
-                  TileAddr tile, unsigned first_free_row);
+                  TileAddr tile, unsigned first_free_row,
+                  Mode mode = Mode::kRecord);
 
     // -- Program assembly ---------------------------------------------
 
     /** Activate a contiguous column range (clears previous set). */
     void activate(ColAddr lo, ColAddr hi);
 
-    /** Finish: append HALT and return the program. */
+    /** Finish: append HALT and return the program.  Recording
+     *  builders only. */
     Program finish();
 
-    /** Instructions emitted so far. */
-    std::size_t emitted() const { return program_.size(); }
+    /** Opcode histogram of everything emitted so far (in either
+     *  mode; includes the HALT once finished). */
+    const OpcodeCounts &opcodeCounts() const { return counts_; }
 
     /** Peak scratch rows in simultaneous use. */
     unsigned scratchHighWater() const { return rows_.highWater(); }
@@ -243,6 +269,18 @@ class KernelBuilder
     Word zeroWord(unsigned bits, unsigned parity = 0);
 
   private:
+    /** Count one @p op instruction and, when recording, append the
+     *  one @p make builds (a counting builder never builds it). */
+    template <typename Make>
+    void
+    emit(Opcode op, Make make)
+    {
+        ++counts_[static_cast<std::size_t>(op)];
+        if (mode_ == Mode::kRecord) {
+            program_.instructions.push_back(make());
+        }
+    }
+
     /** Emit a preset of @p row to the gate's required value. */
     void emitPreset(Bit value, RowAddr row);
 
@@ -263,7 +301,9 @@ class KernelBuilder
     ArrayConfig cfg_;
     TileAddr tile_;
     RowAllocator rows_;
+    Mode mode_;
     Program program_;
+    OpcodeCounts counts_{};
     bool locality_ = false;
     bool finished_ = false;
     GateMask queries_ = 0;

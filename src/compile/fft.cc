@@ -193,12 +193,14 @@ buildFftTrace(const GateLibrary &lib, const FftWorkload &work,
                  "FFT size must be a power of two");
     mouse_assert(total_columns > 0, "no columns");
 
-    // Measure the butterfly instruction mix once by compiling it.
+    // Measure the butterfly instruction mix once by compiling it on a
+    // counting builder.
     ArrayConfig meas;
     meas.tileRows = 1024;
     meas.tileCols = 1024;
     meas.numDataTiles = 1;
-    KernelBuilder kb(lib, meas, 0, 12 * 2 * work.bits);
+    KernelBuilder kb(lib, meas, 0, 12 * 2 * work.bits,
+                     KernelBuilder::Mode::kCount);
     ButterflyLayout layout;
     layout.aRe = 0;
     layout.aIm = static_cast<RowAddr>(2 * work.bits);
@@ -208,19 +210,7 @@ buildFftTrace(const GateLibrary &lib, const FftWorkload &work,
     layout.wIm = static_cast<RowAddr>(10 * work.bits);
     ButterflyResult r = buildButterflyKernel(kb, layout, work.bits);
     (void)r;
-    const Program butterfly = kb.finish();
-
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(Opcode::kNumOpcodes)>
-        mix{};
-    for (const Instruction &inst : butterfly.instructions) {
-        if (inst.op == Opcode::kHalt ||
-            inst.op == Opcode::kActivateList ||
-            inst.op == Opcode::kActivateRange) {
-            continue;
-        }
-        ++mix[static_cast<std::size_t>(inst.op)];
-    }
+    const KernelBuilder::OpcodeCounts &mix = kb.opcodeCounts();
 
     const unsigned stages = [&] {
         unsigned s = 0;

@@ -14,10 +14,7 @@ namespace
 /** Opcode histogram of a builder-generated kernel. */
 struct InstrMix
 {
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(Opcode::kNumOpcodes)>
-        counts{};
-    unsigned scratchPeak = 0;
+    KernelBuilder::OpcodeCounts counts{};
     /** The builder's feasibility queries and answers. */
     GateMask gateQueries = 0;
     GateMask gateAnswers = 0;
@@ -34,9 +31,10 @@ struct InstrMix
 };
 
 /**
- * Measure the instruction mix of a kernel by actually compiling it.
- * The builder targets a scratch-only configuration; the measured
- * counts are exact because generated code is data-independent.
+ * Measure the instruction mix of a kernel by actually compiling it
+ * on a counting builder, which keeps no Program.  The builder targets
+ * a scratch-only configuration; the measured counts are exact because
+ * generated code is data-independent.
  */
 InstrMix
 measureMix(const GateLibrary &lib,
@@ -46,22 +44,13 @@ measureMix(const GateLibrary &lib,
     cfg.tileRows = 1024;
     cfg.tileCols = 1024;
     cfg.numDataTiles = 1;
-    KernelBuilder kb(lib, cfg, 0, 0);
+    KernelBuilder kb(lib, cfg, 0, 0, KernelBuilder::Mode::kCount);
     body(kb);
-    const Program prog = kb.finish();
 
     InstrMix mix;
-    mix.scratchPeak = kb.scratchHighWater();
+    mix.counts = kb.opcodeCounts();
     mix.gateQueries = kb.gateQueries();
     mix.gateAnswers = kb.gateAnswers();
-    for (const Instruction &inst : prog.instructions) {
-        if (inst.op == Opcode::kHalt ||
-            inst.op == Opcode::kActivateList ||
-            inst.op == Opcode::kActivateRange) {
-            continue;
-        }
-        ++mix.counts[static_cast<std::size_t>(inst.op)];
-    }
     return mix;
 }
 

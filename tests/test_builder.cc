@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 
 #include "common/rng.hh"
@@ -548,6 +549,85 @@ TEST(Builder, RecordsEveryFeasibilityQueryAndAnswer)
     nand_only.gateAnswers = gateBit(GateType::kNand2);
     EXPECT_TRUE(nand_only.compiledFor(strict));
     EXPECT_TRUE(nand_only.compiledFor(loose));
+}
+
+TEST(Builder, CountingBuilderMatchesRecordedProgram)
+{
+    // Each body is one of the kernels the sweeps above execute.
+    using Body = std::function<void(KernelBuilder &)>;
+    const auto pinned = [](KernelBuilder &kb, RowAddr start) {
+        return kb.pinnedWord(start, 4);
+    };
+    const std::pair<const char *, Body> bodies[] = {
+        {"add",
+         [&](KernelBuilder &kb) {
+             (void)kb.add(pinned(kb, 0), pinned(kb, 8));
+         }},
+        {"sub",
+         [&](KernelBuilder &kb) {
+             (void)kb.sub(pinned(kb, 0), pinned(kb, 8));
+         }},
+        {"mulUnsigned",
+         [&](KernelBuilder &kb) {
+             (void)kb.mulUnsigned(pinned(kb, 0), pinned(kb, 8));
+         }},
+        {"mulSigned",
+         [&](KernelBuilder &kb) {
+             (void)kb.mulSigned(pinned(kb, 0), pinned(kb, 8));
+         }},
+        {"popcount",
+         [&](KernelBuilder &kb) {
+             (void)kb.popcount(kb.pinnedWord(0, 10));
+         }},
+        {"popcountTree",
+         [&](KernelBuilder &kb) {
+             std::vector<Val> bits;
+             for (unsigned i = 0; i < 9; ++i) {
+                 bits.push_back(kb.constant(static_cast<Bit>(i & 1)));
+             }
+             (void)kb.popcountTree(std::move(bits));
+         }},
+        {"crossColumnSum",
+         [&](KernelBuilder &kb) {
+             (void)kb.crossColumnSum(pinned(kb, 0), 8,
+                                     /*signed_values=*/true);
+         }},
+    };
+    for (TechConfig tech : {TechConfig::ModernStt, TechConfig::ProjectedShe}) {
+        BuilderHarness h(tech);
+        for (const auto &[name, body] : bodies) {
+            KernelBuilder rec = h.makeBuilder(32);
+            body(rec);
+            KernelBuilder count(h.lib_, h.config(), 0, 32,
+                                KernelBuilder::Mode::kCount);
+            body(count);
+            EXPECT_EQ(count.opcodeCounts(), rec.opcodeCounts()) << name;
+            EXPECT_EQ(count.gateQueries(), rec.gateQueries()) << name;
+            EXPECT_EQ(count.gateAnswers(), rec.gateAnswers()) << name;
+            EXPECT_EQ(count.scratchHighWater(), rec.scratchHighWater())
+                << name;
+
+            const Program prog = rec.finish();
+            const KernelBuilder::OpcodeCounts &hist = rec.opcodeCounts();
+            for (std::size_t op = 0; op < hist.size(); ++op) {
+                EXPECT_EQ(hist[op],
+                          prog.countOpcode(static_cast<Opcode>(op)))
+                    << name << " opcode " << op;
+            }
+            EXPECT_EQ(hist[static_cast<std::size_t>(Opcode::kHalt)], 1u)
+                << name;
+        }
+    }
+}
+
+TEST(Builder, CountingBuilderRefusesToFinish)
+{
+    BuilderHarness h;
+    KernelBuilder kb(h.lib_, h.config(), 0, 8,
+                     KernelBuilder::Mode::kCount);
+    (void)kb.nand(kb.pinned(0), kb.pinned(2));
+    EXPECT_DEATH((void)kb.finish(), "counting builder");
+    EXPECT_DEATH(kb.activate(0, 3), "counting builder");
 }
 
 } // namespace

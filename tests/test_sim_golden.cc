@@ -1,10 +1,13 @@
 /**
  * @file
- * Golden characterisation of the five simulator entry points.
+ * Golden characterisation of the five simulator entry points and of
+ * the compiled paper traces they run.
  *
  * Every case pins its RunStats bit-exactly (hex floats) and the
  * stats-tree JSON of a rerun with every telemetry channel on, which
- * must also reproduce the plain run's RunStats.  The expected values
+ * must also reproduce the plain run's RunStats.  Every paper trace
+ * is pinned by a digest of its blocks, gate queries/answers and
+ * mapping facts.  The expected values
  * live in tests/golden/sim_golden.txt, one "<case> <kind> <value>"
  * line each.  To re-pin an intended change, run the binary directly
  * (one process) with MOUSE_GOLDEN_OUT=<file> set; it appends every
@@ -15,12 +18,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <string>
 
 #include "compile/builder.hh"
+#include "compile/fft.hh"
+#include "exp/names.hh"
 #include "exp/workloads.hh"
 #include "sim/simulator.hh"
 
@@ -44,6 +50,75 @@ hexStats(const RunStats &s)
         s.deadTime, s.restoreTime, s.chargingTime, s.computeEnergy,
         s.backupEnergy, s.deadEnergy, s.restoreEnergy, s.idleEnergy);
     return buf;
+}
+
+/** FNV-1a over 64-bit words: a stable digest across hosts. */
+class Digest
+{
+  public:
+    Digest &
+    add(std::uint64_t word)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (word >> (8 * i)) & 0xFF;
+            hash_ *= 0x100000001b3ull;
+        }
+        return *this;
+    }
+
+    Digest &
+    add(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof(bits));
+        return add(bits);
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/** "blocks=<n> instr=<n> digest=<hex>" over every block of @p trace,
+ *  its gate queries and answers, then @p extra's words. */
+std::string
+traceLine(const Trace &trace, const Digest &extra)
+{
+    Digest d;
+    for (const TraceBlock &b : trace.blocks) {
+        d.add(static_cast<std::uint64_t>(b.op))
+            .add(static_cast<std::uint64_t>(b.touchedCols))
+            .add(static_cast<std::uint64_t>(b.activeColsAfter))
+            .add(b.count);
+    }
+    d.add(static_cast<std::uint64_t>(trace.gateQueries))
+        .add(static_cast<std::uint64_t>(trace.gateAnswers))
+        .add(extra.value());
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "blocks=%zu instr=%llu digest=%016llx",
+                  trace.blocks.size(),
+                  static_cast<unsigned long long>(
+                      trace.totalInstructions()),
+                  static_cast<unsigned long long>(d.value()));
+    return buf;
+}
+
+/** A paper benchmark's trace line, mapping facts included. */
+std::string
+paperTraceLine(const GateLibrary &lib, const exp::Benchmark &bench)
+{
+    MappingInfo info;
+    const Trace trace = exp::traceFor(lib, bench, &info);
+    Digest facts;
+    facts.add(static_cast<std::uint64_t>(info.elementsPerColumn))
+        .add(static_cast<std::uint64_t>(info.colsPerUnit))
+        .add(info.unitsPerBatch)
+        .add(static_cast<std::uint64_t>(info.batches))
+        .add(info.peakActiveColumns)
+        .add(info.dataMB)
+        .add(info.instrMB);
+    return traceLine(trace, facts);
 }
 
 /** The pinned lines, keyed by "<case> <kind>". */
@@ -279,6 +354,57 @@ TEST_F(SimGolden, ScheduledFunctional)
     scheduled("checkpoints", explicitCps, 0, true);
 
     scheduled("max_attempts", schedule(), 25, false);
+}
+
+TEST(SimGoldenTraces, PaperBenchmarks)
+{
+    // Every paper benchmark on every technology at the default and a
+    // looser gate margin, which answers some feasibility queries
+    // differently (Modern STT's OR2).  The paper kernels never ask
+    // those, so today each benchmark's six lines share one digest.
+    const std::pair<const char *, double> margins[] = {
+        {"default", kDefaultGateMargin},
+        {"m0.03", 0.03},
+    };
+    const auto &benches = exp::paperBenchmarks();
+    for (TechConfig tech : names::allTechs()) {
+        for (const auto &[margin_label, margin] : margins) {
+            const GateLibrary lib(makeDeviceConfig(tech), margin);
+            for (std::size_t i = 0; i < benches.size(); ++i) {
+                expectGolden("trace/" + names::listBenchmarks()[i] +
+                                 "/" + names::techName(tech) + "/" +
+                                 margin_label + " trace",
+                             paperTraceLine(lib, benches[i]));
+            }
+        }
+    }
+}
+
+TEST(SimGoldenTraces, ParasiticWiresPlaceNearOperands)
+{
+    // Logic-line parasitics turn placement locality on, so every
+    // output row comes from the allocator's near-anchor path.
+    const GateLibrary lib(withParasitics(
+        makeDeviceConfig(TechConfig::ProjectedStt), 2.0));
+    ASSERT_TRUE(
+        KernelBuilder(lib, ArrayConfig{}, 0, 0).placementLocality());
+    expectGolden("trace/mnist/projected-stt-wired/default trace",
+                 paperTraceLine(lib, exp::paperBenchmarks()[0]));
+}
+
+TEST(SimGoldenTraces, Fft)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedStt));
+    FftMappingInfo info;
+    const Trace trace =
+        buildFftTrace(lib, FftWorkload{}, 448ull * 1024, 1024, &info);
+    Digest facts;
+    facts.add(static_cast<std::uint64_t>(info.stages))
+        .add(info.butterfliesPerStage)
+        .add(info.peakActiveColumns)
+        .add(info.totalInstructions);
+    expectGolden("trace/fft1024/projected-stt/default trace",
+                 traceLine(trace, facts));
 }
 
 } // namespace
