@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -28,7 +30,181 @@ elapsed(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** True on a thread that is running a pool job: a pool worker, or
+ *  a caller while it works on its own call. */
+thread_local bool tl_inJob = false;
+
 } // namespace
+
+/**
+ * The runner's worker threads.  One job runs at a time: the caller
+ * publishes it, wakes the workers it needs, takes indices from the
+ * job's cursor alongside them, and waits until each has checked out.
+ * A worker is needed when its id is below the job's participant
+ * count, so a job can only end once every worker it counted on has
+ * left it.
+ */
+class ExperimentRunner::Pool
+{
+  public:
+    explicit Pool(unsigned threads) : threads_(threads) {}
+
+    ~Pool()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
+        }
+        wake_.notify_all();
+        for (std::thread &t : workers_) {
+            t.join();
+        }
+    }
+
+    /** fn(i) for i in [0, count) on the caller and up to
+     *  @p participants - 1 workers. */
+    void
+    run(std::size_t count, const std::function<void(std::size_t)> &fn,
+        unsigned participants)
+    {
+        std::lock_guard<std::mutex> turn(submit_);
+        if (workers_.empty()) {
+            workers_.reserve(threads_ - 1);
+            for (unsigned id = 1; id < threads_; ++id) {
+                workers_.emplace_back([this, id] { serve(id); });
+            }
+        }
+        Job job(fn, count, participants);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            job_ = &job;
+            busy_.store(participants - 1, std::memory_order_relaxed);
+            generation_.fetch_add(1, std::memory_order_release);
+        }
+        wake_.notify_all();
+        tl_inJob = true;
+        work(job);
+        tl_inJob = false;
+        spinWhile([this] {
+            return busy_.load(std::memory_order_acquire) != 0;
+        });
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            done_.wait(lock, [this] {
+                return busy_.load(std::memory_order_acquire) == 0;
+            });
+            job_ = nullptr;
+        }
+        if (job.error) {
+            std::rethrow_exception(job.error);
+        }
+    }
+
+  private:
+    struct Job
+    {
+        Job(const std::function<void(std::size_t)> &f, std::size_t n,
+            unsigned p)
+            : fn(f), count(n), participants(p)
+        {
+        }
+
+        const std::function<void(std::size_t)> &fn;
+        std::size_t count;
+        unsigned participants;
+        std::atomic<std::size_t> cursor{0};
+        std::mutex errorMutex;
+        std::exception_ptr error;
+    };
+
+    /** Take indices until the cursor runs out; keep the first
+     *  exception and go on. */
+    static void
+    work(Job &job)
+    {
+        while (true) {
+            const std::size_t i =
+                job.cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= job.count) {
+                return;
+            }
+            try {
+                job.fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(job.errorMutex);
+                if (!job.error) {
+                    job.error = std::current_exception();
+                }
+            }
+        }
+    }
+
+    /** Worker @p id: park, join each job that counts on it, check
+     *  out, until the pool stops. */
+    void
+    serve(unsigned id)
+    {
+        tl_inJob = true;
+        std::uint64_t seen = 0;
+        while (true) {
+            spinWhile([&] {
+                return generation_.load(std::memory_order_acquire) ==
+                       seen;
+            });
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock, [&] {
+                return stop_ ||
+                       generation_.load(std::memory_order_relaxed) != seen;
+            });
+            if (stop_) {
+                return;
+            }
+            seen = generation_.load(std::memory_order_relaxed);
+            Job *job = job_;
+            if (job == nullptr || id >= job->participants) {
+                continue;
+            }
+            lock.unlock();
+            work(*job);
+            if (busy_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                // Under the lock, so the caller is either before its
+                // check or already waiting.
+                std::lock_guard<std::mutex> done(mutex_);
+                done_.notify_one();
+            }
+        }
+    }
+
+    /**
+     * Spin while @p busy holds, for at most kSpin: a sweep's calls
+     * follow each other within microseconds, and a parked thread
+     * takes ~10 us to wake.
+     */
+    template <class Pred>
+    static void
+    spinWhile(Pred busy)
+    {
+        const auto until = std::chrono::steady_clock::now() + kSpin;
+        while (busy() && std::chrono::steady_clock::now() < until) {
+        }
+    }
+
+    unsigned threads_;
+    /** Held by the caller of run() for the whole job. */
+    std::mutex submit_;
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::condition_variable done_;
+    std::vector<std::thread> workers_;
+    static constexpr std::chrono::microseconds kSpin{50};
+    /** Guarded by mutex_, as are the writes of generation_. */
+    Job *job_ = nullptr;
+    bool stop_ = false;
+    /** Jobs published so far; workers spin on it before parking. */
+    std::atomic<std::uint64_t> generation_{0};
+    /** Workers still in the current job. */
+    std::atomic<unsigned> busy_{0};
+};
 
 ExperimentRunner::ExperimentRunner(unsigned threads)
     : threads_(threads)
@@ -39,7 +215,10 @@ ExperimentRunner::ExperimentRunner(unsigned threads)
     if (threads_ == 0) {
         threads_ = 1;
     }
+    pool_ = std::make_unique<Pool>(threads_);
 }
+
+ExperimentRunner::~ExperimentRunner() = default;
 
 void
 ExperimentRunner::forEach(
@@ -51,45 +230,13 @@ ExperimentRunner::forEach(
     }
     const unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(threads_, count));
-    if (workers <= 1) {
+    if (workers <= 1 || tl_inJob) {
         for (std::size_t i = 0; i < count; ++i) {
             fn(i);
         }
         return;
     }
-
-    std::atomic<std::size_t> cursor{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count) {
-                return;
-            }
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error) {
-                    first_error = std::current_exception();
-                }
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-        pool.emplace_back(worker);
-    }
-    for (auto &t : pool) {
-        t.join();
-    }
-    if (first_error) {
-        std::rethrow_exception(first_error);
-    }
+    pool_->run(count, fn, workers);
 }
 
 std::vector<std::shared_ptr<const Trace>>

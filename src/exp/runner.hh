@@ -5,11 +5,13 @@
  * ExperimentRunner fans the points of a SweepGrid out across a fixed
  * pool of worker threads (work is stolen from a shared atomic
  * cursor) and aggregates the RunResults into an index-keyed
- * SweepResult table.  Determinism is by construction: a point's
- * inputs — shared immutable GateLibrary/EnergyModel/Trace contexts
- * plus a seed derived from (rootSeed, index) — depend only on its
- * grid index, never on the thread or schedule, so an N-thread run is
- * bit-identical to a serial one.
+ * SweepResult table.  The pool starts on the first parallel call,
+ * parks between calls and lives as long as the runner; the calling
+ * thread works on each call too.  Determinism is by construction: a
+ * point's inputs — shared immutable GateLibrary/EnergyModel/Trace
+ * contexts plus a seed derived from (rootSeed, index) — depend only
+ * on its grid index, never on the thread or schedule, so an N-thread
+ * run is bit-identical to a serial one.
  *
  * The generic forEach()/map() primitives are public so benches can
  * parallelize sweeps whose per-point work is not a plain trace
@@ -67,6 +69,10 @@ class ExperimentRunner
   public:
     /** @param threads Worker count; 0 means hardware_concurrency. */
     explicit ExperimentRunner(unsigned threads = 0);
+    ~ExperimentRunner();
+
+    ExperimentRunner(const ExperimentRunner &) = delete;
+    ExperimentRunner &operator=(const ExperimentRunner &) = delete;
 
     unsigned
     threads() const
@@ -89,8 +95,12 @@ class ExperimentRunner
 
     /**
      * Invoke fn(i) for every i in [0, count), distributing indices
-     * across the pool; blocks until all complete.  fn must not
-     * mutate shared state without its own synchronization.
+     * across the calling thread and the pool; blocks until all
+     * complete, then rethrows the first exception any fn(i) threw.
+     * fn must not mutate shared state without its own
+     * synchronization.  Called from inside a job of any runner, it
+     * runs inline on the calling thread.  Calls from several threads
+     * at once take the pool in turn.
      */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &fn) const;
@@ -130,8 +140,13 @@ class ExperimentRunner
     SweepResult run(const SweepGrid &grid) const;
 
   private:
+    class Pool;
+
     unsigned threads_;
     std::function<void(std::size_t, std::size_t)> progress_;
+    /** threads_ - 1 parked workers, started by the first parallel
+     *  forEach. */
+    std::unique_ptr<Pool> pool_;
 };
 
 } // namespace mouse::exp

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -396,46 +397,180 @@ struct Outage
     Overhead replay;
 };
 
+/**
+ * Post @p amount to the RunStats field @p Field in @p book.  The
+ * booking functions are always_inline: left to the inliner, they
+ * reached the burst loop late, and a harvested run whose bursts
+ * never repeat took ~1 % longer.
+ */
+template <auto Field, class Book, class T>
+[[gnu::always_inline]] inline void
+post(Book &book, T amount)
+{
+    book.template add<Field>(amount);
+}
+
+/**
+ * The loop's accounting of a committed chunk, in the loop's order:
+ * a post() for every RunStats field it adds to, and book.clock(dt)
+ * for every step a harvesting power's clock takes (HarvestEnv's
+ * settle).  addWork applies it to a RunStats; a tape of repeated
+ * bursts records it.
+ */
+template <class Book>
+[[gnu::always_inline]] inline void
+bookWork(Book &book, const Work &w)
+{
+    book.clock(w.time);
+    if (w.replay) {
+        post<&RunStats::deadEnergy>(book, w.exec + w.backup);
+        post<&RunStats::deadTime>(book, w.time);
+        post<&RunStats::instructionsDead>(book, w.count);
+        return;
+    }
+    post<&RunStats::computeEnergy>(book, w.exec);
+    post<&RunStats::backupEnergy>(book, w.backup);
+    post<&RunStats::activeTime>(book, w.time);
+    post<&RunStats::instructionsCommitted>(book, w.count);
+}
+
+/**
+ * The loop's accounting of an outage, in the loop's order: the
+ * attempt the cut of @p cutTime killed, @p o, and @p charge seconds
+ * of recharge.  The clock steps as HarvestEnv's cut, spend and
+ * recharge move it.
+ */
+template <class Book>
+[[gnu::always_inline]] inline void
+bookOutage(Book &book, Seconds cutTime, const Outage &o, Seconds charge)
+{
+    book.clock(cutTime);
+    post<&RunStats::deadEnergy>(book, o.wasted);
+    post<&RunStats::deadTime>(book, cutTime);
+    post<&RunStats::instructionsDead>(book, 1);
+    post<&RunStats::outages>(book, 1);
+    if (o.backup.count > 0) {
+        book.clock(o.backup.time);
+        post<&RunStats::backupEnergy>(book, o.backup.energy);
+        post<&RunStats::restoreTime>(book, o.backup.time);
+    }
+    book.clock(charge);
+    post<&RunStats::chargingTime>(book, charge);
+    if (o.restore.count > 0) {
+        book.clock(o.restore.time);
+        post<&RunStats::restoreEnergy>(book, o.restore.energy);
+        post<&RunStats::restoreTime>(book, o.restore.time);
+    }
+    if (o.replay.count > 0) {
+        book.clock(o.replay.time);
+        post<&RunStats::deadEnergy>(book, o.replay.energy);
+        post<&RunStats::deadTime>(book, o.replay.time);
+        post<&RunStats::instructionsDead>(book, 1);
+    }
+}
+
+/** Books into a RunStats; the power keeps its own clock. */
+struct StatsBook
+{
+    RunStats &stats;
+
+    template <auto Field, class T>
+    [[gnu::always_inline]] void
+    add(T amount)
+    {
+        stats.*Field += amount;
+    }
+
+    void clock(Seconds) {}
+};
+
 /** Add a committed chunk to the run's accounting. */
 inline void
 addWork(RunStats &stats, const Work &w)
 {
-    if (w.replay) {
-        stats.deadEnergy += w.exec + w.backup;
-        stats.deadTime += w.time;
-        stats.instructionsDead += w.count;
-        return;
-    }
-    stats.computeEnergy += w.exec;
-    stats.backupEnergy += w.backup;
-    stats.activeTime += w.time;
-    stats.instructionsCommitted += w.count;
+    StatsBook book{stats};
+    bookWork(book, w);
 }
 
-/** Add an outage to the run's accounting: the attempt the cut of
- *  @p cutTime killed, @p o, and @p charge seconds of recharge. */
+/** Add an outage to the run's accounting (bookOutage). */
 inline void
 addOutage(RunStats &stats, Seconds cutTime, const Outage &o,
           Seconds charge)
 {
-    stats.deadEnergy += o.wasted;
-    stats.deadTime += cutTime;
-    ++stats.instructionsDead;
-    ++stats.outages;
-    if (o.backup.count > 0) {
-        stats.backupEnergy += o.backup.energy;
-        stats.restoreTime += o.backup.time;
+    StatsBook book{stats};
+    bookOutage(book, cutTime, o, charge);
+}
+
+/** Fewer passes than this run one by one in repeatAdd: finding and
+ *  checking a binade's increment costs a few passes. */
+constexpr std::uint64_t kRepeatAddMinPasses = 64;
+
+/**
+ * @p x after @p k passes of `for (a : addends) x += a`, bit for bit,
+ * in O(binades crossed) passes instead of k.
+ *
+ * In a binade [2^e, 2^(e+1)) every double is a multiple of the ulp
+ * u, so x + a rounds to x plus a rounded to a multiple of u, a tie
+ * going to the even multiple: the step depends only on a and on the
+ * parity of x / u.  With non-negative addends a pass only climbs, so
+ * when it starts and ends inside the binade every partial sum is
+ * inside too, and its increment depends only on that parity.  Two
+ * consecutive passes with equal increments d then fix d for the rest
+ * of the binade (with d / u even they started on one parity, with it
+ * odd on both), so every pass that still ends inside is one jump,
+ * and the pass that crosses into the next binade runs plainly.
+ * Zero, subnormal, negative or non-finite x, negative or non-finite
+ * addends, unequal increments and short runs take plain passes; a
+ * pass that leaves x as it was leaves it there for good.
+ */
+inline double
+repeatAdd(double x, std::span<const double> addends, std::uint64_t k)
+{
+    const auto pass = [addends](double v) {
+        for (const double a : addends) {
+            v += a;
+        }
+        return v;
+    };
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+    const bool climbs =
+        std::all_of(addends.begin(), addends.end(), [](double a) {
+            return a >= 0.0 && a <= std::numeric_limits<double>::max();
+        });
+    while (k > 0) {
+        if (!climbs || k < kRepeatAddMinPasses || !std::isnormal(x) ||
+            x < 0.0) {
+            const double next = pass(x);
+            --k;
+            if (bits(next) == bits(x)) {
+                return x;
+            }
+            x = next;
+            continue;
+        }
+        const std::uint64_t b0 = bits(x);
+        const std::uint64_t b1 = bits(pass(x));
+        const std::uint64_t b2 = bits(pass(std::bit_cast<double>(b1)));
+        k -= 2;
+        x = std::bit_cast<double>(b2);
+        // Positive doubles order as their bits, so equal exponent
+        // fields at both ends put both passes inside x's binade.
+        if ((b2 >> 52) != (b0 >> 52) || b1 - b0 != b2 - b1) {
+            continue;
+        }
+        const std::uint64_t d = b1 - b0;
+        if (d == 0) {
+            return x;
+        }
+        const std::uint64_t n =
+            std::min(k, (kMantissa - (b2 & kMantissa)) / d);
+        x = std::bit_cast<double>(b2 + n * d);
+        k -= n;
     }
-    stats.chargingTime += charge;
-    if (o.restore.count > 0) {
-        stats.restoreEnergy += o.restore.energy;
-        stats.restoreTime += o.restore.time;
-    }
-    if (o.replay.count > 0) {
-        stats.deadEnergy += o.replay.energy;
-        stats.deadTime += o.replay.time;
-        ++stats.instructionsDead;
-    }
+    return x;
 }
 
 /** Checkpoint discipline of a run without a schedule: MOUSE's
@@ -779,28 +914,23 @@ struct BurstCycles
  * burst key at its start, so a state seen before starts the same
  * bursts again.  Brent's cycle finding compares each burst start
  * with one anchor, moved at powers of two, which costs O(1) a burst.
- * Once the state returns, the loop runs one more cycle on a Tape; if
- * the state returns again, skip() applies the taped additions k more
- * times in the loop's order, so RunStats and the clock come out
- * bit-identical, and moves the machine past the units those cycles
- * would commit.  The current chunk must hold more than k cycles'
- * units, so every skipped burst still ends in an outage.  A burst
- * that commits nothing restarts the search: it is never skipped, and
- * the non-termination check sees every one.
+ * Once the state returns, the loop runs one more cycle on a Tape,
+ * which keeps each step of the loop's accounting (bookWork,
+ * bookOutage).  If the state returns again, skip() applies the tape
+ * k more times and moves the machine past the units those cycles
+ * would commit.  From kRepeatAddMinPasses cycles on, the replay sorts
+ * the tape by field: each RunStats sum and the clock get their k
+ * passes from repeatAdd, bit-identical to adding the amounts one by
+ * one in the loop's order at a cost of a few passes per binade the
+ * field crosses, and counts add k times their per-cycle total.
+ * Shorter replays book the steps one by one.  The current chunk must
+ * hold more than k cycles' units, so every skipped burst still ends
+ * in an outage.  A burst that commits nothing restarts the search:
+ * it is never skipped, and the non-termination check sees every one.
  */
 template <SkippableMachine Machine>
 class BurstCycles<Machine, HarvestEnv>
 {
-    /** One accounting step of the loop. */
-    struct Step
-    {
-        Work w;
-        Seconds cutTime;
-        Outage o;
-        Seconds charge;
-        bool outage;
-    };
-
   public:
     static constexpr bool kSkips = true;
 
@@ -822,7 +952,145 @@ class BurstCycles<Machine, HarvestEnv>
 
       private:
         friend BurstCycles;
+
+        /** One accounting step of the loop. */
+        struct Step
+        {
+            Work w;
+            Seconds cutTime;
+            Outage o;
+            Seconds charge;
+            bool outage;
+
+            template <class Book>
+            void
+            book(Book &b) const
+            {
+                if (outage) {
+                    bookOutage(b, cutTime, o, charge);
+                } else {
+                    bookWork(b, w);
+                }
+            }
+        };
+
+        /** Books into a RunStats and a clock, as the loop and
+         *  HarvestEnv add them. */
+        struct Pass : StatsBook
+        {
+            Seconds &now;
+
+            void clock(Seconds dt) { now += dt; }
+        };
+
+        /** One cycle's amounts, field by field: per RunStats sum and
+         *  for the clock, its addends in the loop's order; per count,
+         *  its total. */
+        class Fields
+        {
+          public:
+            template <auto Field, class T>
+            void
+            add(T amount)
+            {
+                if constexpr (std::is_same_v<decltype(Field),
+                                             double RunStats::*>) {
+                    slot(sums_, Field).addends.push_back(amount);
+                } else {
+                    slot(counts_, Field).total += amount;
+                }
+            }
+
+            void clock(Seconds dt) { clock_.push_back(dt); }
+
+            /** Forget the amounts, keeping the storage. */
+            void
+            clear()
+            {
+                for (Sum &s : sums_) {
+                    s.addends.clear();
+                }
+                for (Count &c : counts_) {
+                    c.total = 0;
+                }
+                clock_.clear();
+            }
+
+            /** Add the cycle @p k times to @p stats and @p now. */
+            Seconds
+            repeat(RunStats &stats, Seconds now, std::uint64_t k) const
+            {
+                for (const Sum &s : sums_) {
+                    stats.*s.field =
+                        repeatAdd(stats.*s.field, s.addends, k);
+                }
+                for (const Count &c : counts_) {
+                    stats.*c.field += k * c.total;
+                }
+                return repeatAdd(now, clock_, k);
+            }
+
+          private:
+            struct Sum
+            {
+                double RunStats::*field;
+                std::vector<double> addends;
+            };
+
+            struct Count
+            {
+                std::uint64_t RunStats::*field;
+                std::uint64_t total;
+            };
+
+            /** @p field's entry in @p list, added on first use. */
+            template <class Entry, class Field>
+            static Entry &
+            slot(std::vector<Entry> &list, Field field)
+            {
+                for (Entry &e : list) {
+                    if (e.field == field) {
+                        return e;
+                    }
+                }
+                return list.emplace_back(Entry{field, {}});
+            }
+
+            std::vector<Sum> sums_;
+            std::vector<Count> counts_;
+            std::vector<double> clock_;
+        };
+
+        /**
+         * Apply the tape @p k times to @p stats, and return the clock
+         * @p now advanced as HarvestEnv advances it.  Short replays
+         * book step by step; longer ones sort the cycle into Fields
+         * and repeat each field at once.  Out of line: it runs once
+         * per skip, and the loop's code stays small.
+         */
+        [[gnu::noinline]] Seconds
+        replay(RunStats &stats, Seconds now, std::uint64_t k)
+        {
+            if (k < kRepeatAddMinPasses) {
+                RunStats s = stats;
+                Pass pass{{s}, now};
+                for (; k > 0; --k) {
+                    for (const Step &step : steps_) {
+                        step.book(pass);
+                    }
+                }
+                stats = s;
+                return now;
+            }
+            fields_.clear();
+            for (const Step &step : steps_) {
+                step.book(fields_);
+            }
+            return fields_.repeat(stats, now, k);
+        }
+
         std::vector<Step> steps_;
+        Fields fields_;
     };
 
     /** Observed runs see every burst, so they never skip. */
@@ -864,15 +1132,22 @@ class BurstCycles<Machine, HarvestEnv>
         return 0;
     }
 
+    /** An empty tape for the cycle burstStart() asked for. */
+    Tape &
+    tape()
+    {
+        tape_.steps_.clear();
+        return tape_;
+    }
+
     /**
-     * The loop ran the cycle burstStart() asked for onto @p tape;
+     * The loop ran the cycle burstStart() asked for onto tape();
      * @p committed says every burst of it committed work.  If the
      * state is back where the tape started, apply the tape k more
      * times and move the machine past the units they commit.
      */
     void
-    skip(Machine &m, HarvestEnv &power, RunStats &stats, const Tape &tape,
-         bool committed)
+    skip(Machine &m, HarvestEnv &power, RunStats &stats, bool committed)
     {
         if (m.done()) {
             return;
@@ -883,7 +1158,7 @@ class BurstCycles<Machine, HarvestEnv>
             // The chunk holds more than k cycles' units.
             const std::uint64_t units = anchorPending_ - m.pending();
             const std::uint64_t k = (m.pending() - 1) / units;
-            power.now = replay(tape.steps_, k, stats, power.now);
+            power.now = tape_.replay(stats, power.now, k);
             m.skip(k * units);
         }
         reanchor(s, m.pending());
@@ -916,43 +1191,6 @@ class BurstCycles<Machine, HarvestEnv>
         limit_ = 1;
     }
 
-    /**
-     * Apply @p steps @p k times to @p stats, and return the clock
-     * @p now advanced as HarvestEnv's settle, cut, spend and recharge
-     * do.  Out of line: it runs once per skip, and the loop's code
-     * stays small.
-     */
-    [[gnu::noinline]] static Seconds
-    replay(const std::vector<Step> &steps, std::uint64_t k,
-           RunStats &stats, Seconds now)
-    {
-        RunStats s = stats;
-        for (; k > 0; --k) {
-            for (const Step &step : steps) {
-                if (!step.outage) {
-                    now += step.w.time;
-                    addWork(s, step.w);
-                    continue;
-                }
-                const Outage &o = step.o;
-                now += step.cutTime;
-                if (o.backup.count > 0) {
-                    now += o.backup.time;
-                }
-                now += step.charge;
-                if (o.restore.count > 0) {
-                    now += o.restore.time;
-                }
-                if (o.replay.count > 0) {
-                    now += o.replay.time;
-                }
-                addOutage(s, step.cutTime, o, step.charge);
-            }
-        }
-        stats = s;
-        return now;
-    }
-
     bool enabled_;
     /** The first burst start only anchors: no voltage has these
      *  bits. */
@@ -963,6 +1201,7 @@ class BurstCycles<Machine, HarvestEnv>
     unsigned bursts_ = 0;
     /** The anchor moves after this many bursts. */
     unsigned limit_ = 1;
+    Tape tape_;
 };
 
 /**
@@ -1053,7 +1292,7 @@ runBursts(Machine &&m, Power &&power, obs::Telemetry *telem)
             const unsigned cycle =
                 cycles.burstStart(m, power, failures == 1);
             if (cycle > 0) {
-                typename Cycles::Tape tape;
+                auto &tape = cycles.tape();
                 bool committed = true;
                 for (unsigned b = 0; b < cycle && !m.done();) {
                     if (turn(tape)) {
@@ -1061,7 +1300,7 @@ runBursts(Machine &&m, Power &&power, obs::Telemetry *telem)
                         ++b;
                     }
                 }
-                cycles.skip(m, power, stats, tape, committed);
+                cycles.skip(m, power, stats, committed);
             }
         }
     }

@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/names.hh"
@@ -189,6 +194,120 @@ TEST(ExperimentRunner, MapKeepsResultsIndexOrdered)
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], 3 * i + 1);
     }
+}
+
+TEST(ExperimentRunnerPool, NestedForEachRunsInline)
+{
+    // A job that calls forEach again, on its own runner or another,
+    // runs the inner call on its own thread: no worker waits for a
+    // pool that is waiting for it.
+    const exp::ExperimentRunner runner(4);
+    const exp::ExperimentRunner other(4);
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 32;
+    std::vector<std::atomic<int>> visits(kOuter * kInner);
+    std::atomic<int> offThread{0};
+    runner.forEach(kOuter, [&](std::size_t i) {
+        const std::thread::id self = std::this_thread::get_id();
+        const exp::ExperimentRunner &inner = i % 2 ? runner : other;
+        inner.forEach(kInner, [&](std::size_t j) {
+            visits[i * kInner + j].fetch_add(1);
+            offThread += std::this_thread::get_id() != self;
+        });
+    });
+    for (const std::atomic<int> &v : visits) {
+        EXPECT_EQ(v.load(), 1);
+    }
+    EXPECT_EQ(offThread.load(), 0);
+}
+
+TEST(ExperimentRunnerPool, WorkerExceptionReachesCallerAndPoolSurvives)
+{
+    const exp::ExperimentRunner runner(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> visited{0};
+    std::atomic<int> thrown{0};
+    // Slow items, so the workers wake while the caller is still busy
+    // and take some of them; every item a worker takes throws.
+    EXPECT_THROW(runner.forEach(64,
+                                [&](std::size_t) {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::microseconds(500));
+                                    ++visited;
+                                    if (std::this_thread::get_id() !=
+                                        caller) {
+                                        ++thrown;
+                                        throw std::runtime_error("worker");
+                                    }
+                                }),
+                 std::runtime_error);
+    EXPECT_EQ(visited.load(), 64) << "an exception stops no other item";
+    EXPECT_GT(thrown.load(), 0);
+    // The caller's own exceptions arrive the same way.
+    EXPECT_THROW(runner.forEach(8,
+                                [](std::size_t i) {
+                                    if (i == 5) {
+                                        throw std::logic_error("item 5");
+                                    }
+                                }),
+                 std::logic_error);
+    // The pool still runs jobs.
+    const auto out =
+        runner.map(1000, [](std::size_t i) { return 2 * i; });
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], 2 * i);
+    }
+}
+
+TEST(ExperimentRunnerPool, TenThousandTinyCallsBackToBack)
+{
+    const exp::ExperimentRunner runner(4);
+    std::atomic<std::uint64_t> sum{0};
+    for (int call = 0; call < 10000; ++call) {
+        runner.forEach(4, [&](std::size_t i) { sum += i + 1; });
+    }
+    EXPECT_EQ(sum.load(), 10000u * 10u);
+}
+
+TEST(ExperimentRunnerPool, RunnersDrivenFromTwoThreadsAtOnce)
+{
+    // Two runners, one per thread, and one runner shared by both
+    // threads, whose calls take its pool in turn.
+    const exp::ExperimentRunner shared(3);
+    std::vector<std::uint64_t> totals(2, 0);
+    const auto drive = [&](int t) {
+        const exp::ExperimentRunner own(3);
+        for (int call = 0; call < 200; ++call) {
+            const exp::ExperimentRunner &r = call % 2 ? own : shared;
+            const auto out = r.map(
+                50, [&](std::size_t i) { return (t + 1) * (i + 1); });
+            totals[t] += std::accumulate(out.begin(), out.end(),
+                                         std::uint64_t{0});
+        }
+    };
+    std::thread a(drive, 0);
+    std::thread b(drive, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(totals[0], 200u * 1275u);
+    EXPECT_EQ(totals[1], 2u * 200u * 1275u);
+}
+
+TEST(ExperimentRunnerPool, DestroyedWhileParked)
+{
+    for (int round = 0; round < 20; ++round) {
+        const exp::ExperimentRunner runner(4);
+        std::atomic<int> visited{0};
+        runner.forEach(16, [&](std::size_t) { ++visited; });
+        ASSERT_EQ(visited.load(), 16);
+        if (round % 2 == 0) {
+            // Let the workers park before the runner goes.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    // A runner whose pool never started.
+    const exp::ExperimentRunner idle(4);
+    EXPECT_EQ(idle.threads(), 4u);
 }
 
 TEST(ExperimentRunner, ZeroThreadsMeansHardwareConcurrency)

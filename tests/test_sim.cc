@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "compile/builder.hh"
 #include "exp/names.hh"
 #include "exp/workloads.hh"
+#include "sim/burst_loop.hh"
 #include "sim/simulator.hh"
 
 namespace mouse
@@ -490,6 +496,131 @@ TEST(BurstSkipCycles, BurstsThatNeverRepeatRunInFull)
     h.checkpointPeriod = 256;
     EXPECT_GT(expectFullLoopStats(trace, energy, h, "mnist p256"),
               1000u);
+}
+
+/** What repeatAdd must reproduce: @p k plain passes. */
+double
+passes(double x, const std::vector<double> &addends, std::uint64_t k)
+{
+    for (; k > 0; --k) {
+        for (const double a : addends) {
+            x += a;
+        }
+    }
+    return x;
+}
+
+/** repeatAdd gives the bits of the plain passes. */
+void
+expectRepeatAdd(double x, const std::vector<double> &addends,
+                std::uint64_t k, const std::string &label)
+{
+    const double want = passes(x, addends, k);
+    const double got = sim::repeatAdd(x, addends, k);
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "want %a got %a", want, got);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << label << ": " << buf;
+}
+
+/** One ulp of 1.0. */
+constexpr double kUlp1 = std::numeric_limits<double>::epsilon();
+
+TEST(RepeatAdd, MatchesPlainPassesOnRandomAddendLists)
+{
+    std::mt19937_64 rng(20261019);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_int_distribution<int> scale(-40, 8);
+    for (int trial = 0; trial < 400; ++trial) {
+        const double x = std::ldexp(0.5 + unit(rng), scale(rng));
+        std::vector<double> addends(1 + rng() % 8);
+        for (double &a : addends) {
+            // Addends from far below x's ulp to far above x.
+            a = x * std::ldexp(unit(rng), -(static_cast<int>(rng() % 64)));
+        }
+        const std::uint64_t k = rng() % 5000;
+        expectRepeatAdd(x, addends, k, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(RepeatAdd, HalfUlpTiesWithAnOddAndAnEvenStep)
+{
+    // 2.5 ulp ties to the even neighbour, then +1 ulp: from an even
+    // mantissa a pass moves 3 ulp (odd, so the parity flips), from an
+    // odd one 4 ulp.  The first two passes differ, and only the
+    // passes after them may jump.
+    const std::vector<double> tieThenOne = {2.5 * kUlp1, kUlp1};
+    const std::vector<double> tieOnly = {2.5 * kUlp1};
+    const double even = 1.0;
+    const double odd = 1.0 + kUlp1;
+    for (const double x : {even, odd}) {
+        for (const std::uint64_t k : {64u, 65u, 1000u, 100000u}) {
+            const std::string at =
+                (x == even ? "even" : "odd") + std::string(" k ") +
+                std::to_string(k);
+            expectRepeatAdd(x, tieThenOne, k, "tie then one, " + at);
+            expectRepeatAdd(x, tieOnly, k, "tie only, " + at);
+        }
+    }
+    // Passes that run into the binade top and across it.
+    expectRepeatAdd(2.0 - 1001 * kUlp1, tieThenOne, 400, "at the top");
+    expectRepeatAdd(1.0 + 3 * kUlp1, {1.5 * kUlp1}, 1u << 20,
+                    "odd start, 1.5 ulp");
+}
+
+TEST(RepeatAdd, ZeroAndSubnormalStartsTakePlainPasses)
+{
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    expectRepeatAdd(0.0, {1e-9, 3e-12}, 100000, "zero");
+    expectRepeatAdd(0.0, {0.0}, 100000, "zero, zero addend");
+    expectRepeatAdd(0.0, {tiny}, 10000, "zero, denormal steps");
+    expectRepeatAdd(tiny * 7, {tiny, tiny * 3}, 100000, "subnormal");
+    expectRepeatAdd(std::numeric_limits<double>::min() - tiny * 100,
+                    {tiny * 3}, 1000, "subnormal into normal");
+}
+
+TEST(RepeatAdd, AddendsLargerThanX)
+{
+    expectRepeatAdd(1e-12, {1.0, 3e-3}, 100000, "one addend");
+    expectRepeatAdd(3.0, {1e6, 7.25, 1e-3}, 100000, "first addend");
+}
+
+TEST(RepeatAdd, AddendsBelowHalfAnUlpStall)
+{
+    // A quarter ulp is lost every time: the sum never moves.
+    expectRepeatAdd(1.0, {0.25 * kUlp1}, 1000000, "stall");
+    expectRepeatAdd(1.5, {0.25 * kUlp1, 0.25 * kUlp1}, 1000000,
+                    "stall twice");
+    // It is lost before the ulp step lands, and again after it.
+    expectRepeatAdd(1.0, {0.25 * kUlp1, kUlp1, 0.4 * kUlp1}, 1000000,
+                    "lost around a step");
+}
+
+TEST(RepeatAdd, MillionsOfPassesAcrossManyBinades)
+{
+    // From 1e-3 with a step of 3.7e-4 plus change, a million passes
+    // cross about 18 binades.
+    expectRepeatAdd(1e-3, {3.7e-4, 1e-9}, 1000000, "steady");
+    expectRepeatAdd(1e-12, {2.3e-9, 1e-20, 6.1e-13}, 1000000, "from tiny");
+    expectRepeatAdd(0.1, {std::ldexp(1.0, -40)}, 1000000, "power of two");
+    for (std::uint64_t k = 60; k < 70; ++k) {
+        expectRepeatAdd(1.0, {0.3, 0.0001}, k, "short run");
+    }
+}
+
+TEST(RepeatAdd, FallsBackOnNegativeAndNonFiniteAddends)
+{
+    expectRepeatAdd(1.0, {1e-3, -2.5e-4}, 100000, "negative");
+    expectRepeatAdd(-5.0, {1e-3}, 100000, "negative x");
+    expectRepeatAdd(1.0, {1e-3, std::numeric_limits<double>::infinity()},
+                    1000, "infinite");
+    expectRepeatAdd(1.0, {std::numeric_limits<double>::quiet_NaN()}, 1000,
+                    "nan");
+    expectRepeatAdd(std::numeric_limits<double>::max() * 0.75,
+                    {std::numeric_limits<double>::max() * 0.125}, 1000,
+                    "overflow");
+    expectRepeatAdd(2.0, {}, 1000, "no addends");
 }
 
 TEST(RunStatsDerived, SharesAreZeroWhenTotalsAreZero)

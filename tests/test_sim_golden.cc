@@ -5,9 +5,10 @@
  *
  * Every case pins its RunStats bit-exactly (hex floats) and the
  * stats-tree JSON of a rerun with every telemetry channel on, which
- * must also reproduce the plain run's RunStats.  Every paper trace
- * is pinned by a digest of its blocks, gate queries/answers and
- * mapping facts.  The expected values
+ * must also reproduce the plain run's RunStats.  The harvested paper
+ * grid is pinned by one digest of every RunStats field per
+ * benchmark.  Every paper trace is pinned by a digest of its blocks,
+ * gate queries/answers and mapping facts.  The expected values
  * live in tests/golden/sim_golden.txt, one "<case> <kind> <value>"
  * line each.  To re-pin an intended change, run the binary directly
  * (one process) with MOUSE_GOLDEN_OUT=<file> set; it appends every
@@ -377,6 +378,59 @@ TEST(SimGoldenTraces, PaperBenchmarks)
                              paperTraceLine(lib, benches[i]));
             }
         }
+    }
+}
+
+TEST(SimGoldenGrid, PaperGridRunStats)
+{
+    // The harvested paper grid the burst loop skips repeated bursts
+    // on: per benchmark, 3 techs x 2 margins x 7 powers x periods
+    // {1, 2, 8, 64, 256} x {technology buffer, mementos}, 420 runs
+    // digested over every RunStats field.
+    const double margins[] = {kDefaultGateMargin, 0.03};
+    const auto &benches = exp::paperBenchmarks();
+    for (std::size_t i = 0; i < benches.size(); ++i) {
+        Digest d;
+        std::uint64_t runs = 0;
+        for (TechConfig tech : names::allTechs()) {
+            for (const double margin : margins) {
+                const GateLibrary lib(makeDeviceConfig(tech), margin);
+                const EnergyModel energy(lib);
+                const Trace trace = exp::traceFor(lib, benches[i]);
+                for (const Watts power : exp::powerSweep()) {
+                    for (const unsigned period : {1u, 2u, 8u, 64u, 256u}) {
+                        for (const char *platform : {"", "mementos"}) {
+                            HarvestConfig h;
+                            h.source = SourceSpec::constant(power);
+                            h.checkpointPeriod = period;
+                            h.platform = platform;
+                            const RunStats s =
+                                runHarvestedTrace(trace, energy, h);
+                            d.add(s.instructionsCommitted)
+                                .add(s.instructionsDead)
+                                .add(s.outages)
+                                .add(s.activeTime)
+                                .add(s.deadTime)
+                                .add(s.restoreTime)
+                                .add(s.chargingTime)
+                                .add(s.computeEnergy)
+                                .add(s.backupEnergy)
+                                .add(s.deadEnergy)
+                                .add(s.restoreEnergy)
+                                .add(s.idleEnergy);
+                            ++runs;
+                        }
+                    }
+                }
+            }
+        }
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "runs=%llu digest=%016llx",
+                      static_cast<unsigned long long>(runs),
+                      static_cast<unsigned long long>(d.value()));
+        expectGolden("paper_grid/" + names::listBenchmarks()[i] +
+                         " stats",
+                     buf);
     }
 }
 
