@@ -3,7 +3,8 @@
  * Google-benchmark microbenchmarks of the simulator itself: gate
  * operating-point solving, tile-level functional execution (gates
  * and presets), the controller step loop of a serving program,
- * trace compilation (traceFor) of the paper benchmarks,
+ * trace compilation (traceFor) of the paper benchmarks and of a
+ * whole sweep round (compileTraces),
  * trace-level simulation throughput, and the parallel experiment
  * engine's points/sec on the full Figure-9 grid (serial vs N
  * threads), and the serving layer's per-batch pack and weight
@@ -318,6 +319,42 @@ BENCHMARK_CAPTURE(BM_TraceFor, svm_mnist, 0)
 BENCHMARK_CAPTURE(BM_TraceFor, svm_adult, 3)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_TraceFor, bnn_finn, 4)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The compile phase of a paper sweep round on its own:
+ * ExperimentRunner::compileTraces of the six paper benchmarks over
+ * the six paper libraries (3 techs x margins {0.05, 0.03}), which
+ * measures each distinct kernel once and assembles the traces.
+ * Arg = worker threads; items/s is rounds per second.
+ */
+void
+BM_CompileTraces(benchmark::State &state)
+{
+    std::vector<std::unique_ptr<GateLibrary>> owned;
+    std::vector<const GateLibrary *> libs;
+    for (TechConfig tech : names::allTechs()) {
+        for (double margin : {0.05, 0.03}) {
+            owned.push_back(std::make_unique<GateLibrary>(
+                makeDeviceConfig(tech), margin));
+            libs.push_back(owned.back().get());
+        }
+    }
+    const std::vector<bench::Benchmark> &benchmarks =
+        bench::paperBenchmarks();
+    const exp::ExperimentRunner runner(
+        static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        const auto traces = runner.compileTraces(libs, benchmarks);
+        benchmark::DoNotOptimize(traces.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileTraces)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void

@@ -40,14 +40,7 @@ Trace::totalInstructions() const
 bool
 Trace::compiledFor(const GateLibrary &lib) const
 {
-    GateMask answers = 0;
-    for (int g = 0; g < kNumGateTypes; ++g) {
-        const auto gate = static_cast<GateType>(g);
-        if ((gateQueries & gateBit(gate)) && lib.feasible(gate)) {
-            answers |= gateBit(gate);
-        }
-    }
-    return answers == gateAnswers;
+    return lib.feasibleAmong(gateQueries) == gateAnswers;
 }
 
 void

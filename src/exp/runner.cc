@@ -1,5 +1,6 @@
 #include "runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -239,46 +240,130 @@ ExperimentRunner::forEach(
     pool_->run(count, fn, workers);
 }
 
+std::vector<std::shared_ptr<const KernelMix>>
+ExperimentRunner::measurePerAnswerSet(
+    const std::vector<const GateLibrary *> &libs, std::size_t count,
+    const std::function<KernelMix(const GateLibrary &, std::size_t)>
+        &measure) const
+{
+    std::vector<std::shared_ptr<const KernelMix>> mixes(libs.size() *
+                                                        count);
+    // One round per distinct set of answers: share every mix already
+    // measured for an item with each library it was measuredFor(),
+    // then measure, in parallel across items, on the first library of
+    // each item that is still uncovered.
+    while (true) {
+        std::vector<std::size_t> todo;
+        for (std::size_t i = 0; i < count; ++i) {
+            for (std::size_t l = 0; l < libs.size(); ++l) {
+                std::shared_ptr<const KernelMix> &slot =
+                    mixes[l * count + i];
+                for (std::size_t k = 0; k < libs.size() && !slot;
+                     ++k) {
+                    const auto &built = mixes[k * count + i];
+                    if (built && built->measuredFor(*libs[l])) {
+                        slot = built;
+                    }
+                }
+                if (!slot) {
+                    todo.push_back(l * count + i);
+                    break;
+                }
+            }
+        }
+        if (todo.empty()) {
+            return mixes;
+        }
+        forEach(todo.size(), [&](std::size_t t) {
+            const std::size_t slot = todo[t];
+            mixes[slot] = std::make_shared<const KernelMix>(
+                measure(*libs[slot / count], slot % count));
+        });
+    }
+}
+
 std::vector<std::shared_ptr<const Trace>>
 ExperimentRunner::compileTraces(
     const std::vector<const GateLibrary *> &libs,
     const std::vector<Benchmark> &benchmarks) const
 {
     const std::size_t nbench = benchmarks.size();
-    std::vector<std::shared_ptr<const Trace>> traces(libs.size() *
-                                                     nbench);
-    // One round per distinct set of answers: share every trace
-    // already compiled for a benchmark with each library it was
-    // compiledFor(), then compile, in parallel across benchmarks, for
-    // the first library of each benchmark that is still uncovered.
-    while (true) {
-        std::vector<std::size_t> todo;
-        for (std::size_t b = 0; b < nbench; ++b) {
-            for (std::size_t l = 0; l < libs.size(); ++l) {
-                std::shared_ptr<const Trace> &slot =
-                    traces[l * nbench + b];
-                for (std::size_t k = 0; k < libs.size() && !slot;
-                     ++k) {
-                    const auto &built = traces[k * nbench + b];
-                    if (built && built->compiledFor(*libs[l])) {
-                        slot = built;
-                    }
-                }
-                if (!slot) {
-                    todo.push_back(l * nbench + b);
-                    break;
-                }
+
+    // The distinct kernels of every benchmark, largest first.
+    std::vector<std::vector<Kernel>> bench_kernels(nbench);
+    std::vector<Kernel> kernels;
+    for (std::size_t b = 0; b < nbench; ++b) {
+        bench_kernels[b] = kernelsFor(benchmarks[b]);
+        kernels.insert(kernels.end(), bench_kernels[b].begin(),
+                       bench_kernels[b].end());
+    }
+    std::sort(kernels.begin(), kernels.end(),
+              [](const Kernel &x, const Kernel &y) {
+                  const std::uint64_t cx = x.cells();
+                  const std::uint64_t cy = y.cells();
+                  return cx != cy ? cx > cy : x < y;
+              });
+    kernels.erase(std::unique(kernels.begin(), kernels.end()),
+                  kernels.end());
+    const std::size_t nkernel = kernels.size();
+    const auto mixes = measurePerAnswerSet(
+        libs, nkernel, [&](const GateLibrary &lib, std::size_t k) {
+            return measureKernel(lib, kernels[k]);
+        });
+
+    // Each benchmark's kernels as indices into `kernels`.
+    std::vector<std::vector<std::size_t>> bench_ids(nbench);
+    for (std::size_t b = 0; b < nbench; ++b) {
+        for (const Kernel &kernel : bench_kernels[b]) {
+            bench_ids[b].push_back(static_cast<std::size_t>(
+                std::find(kernels.begin(), kernels.end(), kernel) -
+                kernels.begin()));
+        }
+    }
+    const auto same_mixes = [&](std::size_t b, std::size_t l,
+                                std::size_t m) {
+        for (const std::size_t k : bench_ids[b]) {
+            if (mixes[l * nkernel + k] != mixes[m * nkernel + k]) {
+                return false;
             }
         }
-        if (todo.empty()) {
-            return traces;
+        return true;
+    };
+
+    // Assemble one trace per benchmark and distinct set of mixes; a
+    // library whose mixes match an earlier library's shares its
+    // trace.
+    std::vector<std::shared_ptr<const Trace>> traces(libs.size() *
+                                                     nbench);
+    std::vector<std::size_t> todo;
+    std::vector<std::size_t> owner(traces.size());
+    for (std::size_t b = 0; b < nbench; ++b) {
+        for (std::size_t l = 0; l < libs.size(); ++l) {
+            std::size_t m = 0;
+            while (m < l && !same_mixes(b, l, m)) {
+                ++m;
+            }
+            owner[l * nbench + b] = m * nbench + b;
+            if (m == l) {
+                todo.push_back(l * nbench + b);
+            }
         }
-        forEach(todo.size(), [&](std::size_t i) {
-            const std::size_t slot = todo[i];
-            traces[slot] = std::make_shared<const Trace>(traceFor(
-                *libs[slot / nbench], benchmarks[slot % nbench]));
-        });
     }
+    forEach(todo.size(), [&](std::size_t t) {
+        const std::size_t slot = todo[t];
+        const std::size_t l = slot / nbench;
+        const std::size_t b = slot % nbench;
+        KernelMixes bench_mixes;
+        for (const std::size_t k : bench_ids[b]) {
+            bench_mixes.emplace(kernels[k], *mixes[l * nkernel + k]);
+        }
+        traces[slot] = std::make_shared<const Trace>(
+            assembleTrace(benchmarks[b], bench_mixes));
+    });
+    for (std::size_t slot = 0; slot < traces.size(); ++slot) {
+        traces[slot] = traces[owner[slot]];
+    }
+    return traces;
 }
 
 SweepResult
@@ -325,24 +410,8 @@ ExperimentRunner::run(const SweepGrid &grid) const
     std::mutex progress_mutex;
     result.points = map(total, [&](std::size_t i) {
         const SweepPoint point = grid.at(i);
-        // Locate the shared context by re-doing the mixed-radix
-        // decode on the axis indices (at() returns values, and
-        // margins may repeat a value).
-        std::size_t rest = i / grid.seedsPerPoint;
-        const std::size_t margin_index = rest % grid.margins.size();
-        rest /= grid.margins.size();
-        rest /= grid.checkpointPeriods.size();
-        rest /= grid.sources.empty() ? grid.powers.size()
-                                     : grid.sources.size();
-        if (!grid.platforms.empty()) {
-            rest /= grid.platforms.size();
-        }
-        if (!grid.schemes.empty()) {
-            rest /= grid.schemes.size();
-        }
-        const std::size_t tech_index = rest / grid.benchmarks.size();
         const std::size_t ctx =
-            tech_index * grid.margins.size() + margin_index;
+            point.techSlot * grid.margins.size() + point.marginSlot;
         const Trace &trace = *traces[ctx * nbench + point.benchmark];
         const EnergyModel &energy = *contexts[ctx].energy;
 

@@ -119,13 +119,30 @@ class ExperimentRunner
     }
 
     /**
+     * measure(*libs[l], i) for every item i in [0, count) on every
+     * library, run once per item and distinct set of answers its
+     * measurement asks of the libraries (KernelMix::measuredFor):
+     * entry l * count + i is shared by every library answering
+     * alike.  Each round measures, one forEach task per item in index
+     * order, the item on the first library it does not cover yet;
+     * the first round takes libs[0] for every item.
+     */
+    std::vector<std::shared_ptr<const KernelMix>>
+    measurePerAnswerSet(
+        const std::vector<const GateLibrary *> &libs, std::size_t count,
+        const std::function<KernelMix(const GateLibrary &, std::size_t)>
+            &measure) const;
+
+    /**
      * The trace of every benchmark on every library: entry
      * l * benchmarks.size() + b is traceFor(*libs[l], benchmarks[b]).
-     * A benchmark compiles once per distinct set of answers its
-     * compile asks of the libraries (Trace::compiledFor); every
-     * library answering alike shares that trace.  The first library's
-     * traces compile in parallel, then one parallel round per further
-     * answer set.
+     * The distinct kernels of all the benchmarks (kernelsFor) are
+     * measured through measurePerAnswerSet(), largest
+     * (Kernel::cells) first, so no benchmark's compile runs alone on
+     * one thread and a kernel two benchmarks share is measured once.
+     * Each (library, benchmark) trace is then assembled from the
+     * shared mixes; libraries that got the same mixes for a
+     * benchmark's kernels share one trace.
      */
     std::vector<std::shared_ptr<const Trace>>
     compileTraces(const std::vector<const GateLibrary *> &libs,

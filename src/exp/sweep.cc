@@ -58,7 +58,8 @@ SweepGrid::at(std::size_t index) const
     std::size_t rest = index;
     p.seedSlot = rest % seedsPerPoint;
     rest /= seedsPerPoint;
-    p.margin = margins[rest % margins.size()];
+    p.marginSlot = rest % margins.size();
+    p.margin = margins[p.marginSlot];
     rest /= margins.size();
     p.checkpointPeriod =
         checkpointPeriods[rest % checkpointPeriods.size()];
@@ -84,6 +85,7 @@ SweepGrid::at(std::size_t index) const
     }
     p.benchmark = rest % benchmarks.size();
     rest /= benchmarks.size();
+    p.techSlot = rest;
     p.tech = techs[rest];
     return p;
 }

@@ -35,6 +35,8 @@ struct SweepPoint
 {
     std::size_t index = 0;
     TechConfig tech = TechConfig::ModernStt;
+    /** Position along the techs axis. */
+    std::size_t techSlot = 0;
     /** Index into the grid's benchmarks vector. */
     std::size_t benchmark = 0;
     /** Headline harvester power (constant power, or the mean of a
@@ -56,6 +58,9 @@ struct SweepPoint
     std::string scheme;
     unsigned checkpointPeriod = 1;
     double margin = kDefaultGateMargin;
+    /** Position along the margins axis (margins may repeat a
+     *  value). */
+    std::size_t marginSlot = 0;
     /** Position along the Monte-Carlo seed axis. */
     std::size_t seedSlot = 0;
     /** Derived outage-schedule seed for this point. */

@@ -65,6 +65,14 @@ buildBenchmarks()
     return list;
 }
 
+MouseShape
+shapeFor(const Benchmark &bench)
+{
+    MouseShape shape;
+    shape.numDataTiles = bench.dataTiles;
+    return shape;
+}
+
 } // namespace
 
 const std::vector<Benchmark> &
@@ -78,12 +86,27 @@ Trace
 traceFor(const GateLibrary &lib, const Benchmark &bench,
          MappingInfo *info)
 {
-    MouseShape shape;
-    shape.numDataTiles = bench.dataTiles;
-    if (bench.kind == WorkloadKind::Svm) {
-        return buildSvmTrace(lib, bench.svm, shape, info);
-    }
-    return buildBnnTrace(lib, bench.bnn, shape, info);
+    return assembleTrace(bench, measureKernels(lib, kernelsFor(bench)),
+                         info);
+}
+
+std::vector<Kernel>
+kernelsFor(const Benchmark &bench)
+{
+    const MouseShape shape = shapeFor(bench);
+    return bench.kind == WorkloadKind::Svm
+               ? svmKernels(bench.svm, shape)
+               : bnnKernels(bench.bnn, shape);
+}
+
+Trace
+assembleTrace(const Benchmark &bench, const KernelMixes &mixes,
+              MappingInfo *info)
+{
+    const MouseShape shape = shapeFor(bench);
+    return bench.kind == WorkloadKind::Svm
+               ? assembleSvmTrace(bench.svm, shape, mixes, info)
+               : assembleBnnTrace(bench.bnn, shape, mixes, info);
 }
 
 const std::vector<Watts> &

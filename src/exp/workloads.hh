@@ -44,9 +44,18 @@ struct Benchmark
  *  names::listBenchmarks(). */
 const std::vector<Benchmark> &paperBenchmarks();
 
-/** Compressed trace of one inference of @p bench on @p lib. */
+/** Compressed trace of one inference of @p bench on @p lib:
+ *  measureKernels() of kernelsFor(bench), then assembleTrace(). */
 Trace traceFor(const GateLibrary &lib, const Benchmark &bench,
                MappingInfo *info = nullptr);
+
+/** The distinct kernels a trace of @p bench repeats, ascending. */
+std::vector<Kernel> kernelsFor(const Benchmark &bench);
+
+/** Assemble the trace of @p bench from @p mixes, which must hold
+ *  every kernel kernelsFor(bench) lists. */
+Trace assembleTrace(const Benchmark &bench, const KernelMixes &mixes,
+                    MappingInfo *info = nullptr);
 
 /** The paper's power sweep: 60 uW (body heat) to 5 mW (Powercast). */
 const std::vector<Watts> &powerSweep();

@@ -49,50 +49,6 @@ extract(std::uint64_t word, int shift, std::uint64_t mask)
 
 } // namespace
 
-bool
-isGateOpcode(Opcode op)
-{
-    const auto v = static_cast<std::uint8_t>(op);
-    return v >= static_cast<std::uint8_t>(Opcode::kGateBuf) &&
-           v <= static_cast<std::uint8_t>(Opcode::kGateMin3);
-}
-
-GateType
-gateFromOpcode(Opcode op)
-{
-    switch (op) {
-      case Opcode::kGateBuf: return GateType::kBuf;
-      case Opcode::kGateNot: return GateType::kNot;
-      case Opcode::kGateAnd2: return GateType::kAnd2;
-      case Opcode::kGateNand2: return GateType::kNand2;
-      case Opcode::kGateOr2: return GateType::kOr2;
-      case Opcode::kGateNor2: return GateType::kNor2;
-      case Opcode::kGateMaj3: return GateType::kMaj3;
-      case Opcode::kGateMin3: return GateType::kMin3;
-      default:
-        mouse_panic("opcode %d is not a gate",
-                    static_cast<int>(op));
-    }
-}
-
-Opcode
-opcodeFromGate(GateType g)
-{
-    switch (g) {
-      case GateType::kBuf: return Opcode::kGateBuf;
-      case GateType::kNot: return Opcode::kGateNot;
-      case GateType::kAnd2: return Opcode::kGateAnd2;
-      case GateType::kNand2: return Opcode::kGateNand2;
-      case GateType::kOr2: return Opcode::kGateOr2;
-      case GateType::kNor2: return Opcode::kGateNor2;
-      case GateType::kMaj3: return Opcode::kGateMaj3;
-      case GateType::kMin3: return Opcode::kGateMin3;
-      default:
-        mouse_panic("gate %s is not ISA-encodable",
-                    gateName(g).c_str());
-    }
-}
-
 std::uint64_t
 Instruction::encode() const
 {

@@ -17,55 +17,6 @@ popcount3(unsigned inputs)
 
 } // namespace
 
-int
-gateNumInputs(GateType g)
-{
-    switch (g) {
-      case GateType::kBuf:
-      case GateType::kNot:
-        return 1;
-      case GateType::kAnd2:
-      case GateType::kNand2:
-      case GateType::kOr2:
-      case GateType::kNor2:
-        return 2;
-      case GateType::kAnd3:
-      case GateType::kNand3:
-      case GateType::kOr3:
-      case GateType::kNor3:
-      case GateType::kMaj3:
-      case GateType::kMin3:
-        return 3;
-      default:
-        mouse_panic("bad gate type %d", static_cast<int>(g));
-    }
-}
-
-Bit
-gatePreset(GateType g)
-{
-    switch (g) {
-      // Inverting gates preset to 0 and switch toward 1.
-      case GateType::kNot:
-      case GateType::kNand2:
-      case GateType::kNor2:
-      case GateType::kNand3:
-      case GateType::kNor3:
-      case GateType::kMin3:
-        return 0;
-      // Non-inverting gates preset to 1 and switch toward 0.
-      case GateType::kBuf:
-      case GateType::kAnd2:
-      case GateType::kOr2:
-      case GateType::kAnd3:
-      case GateType::kOr3:
-      case GateType::kMaj3:
-        return 1;
-      default:
-        mouse_panic("bad gate type %d", static_cast<int>(g));
-    }
-}
-
 Bit
 gateTruth(GateType g, unsigned inputs)
 {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace mouse
@@ -55,10 +56,55 @@ gateBit(GateType g)
 }
 
 /** Number of input rows the gate consumes (1, 2, or 3). */
-int gateNumInputs(GateType g);
+inline int
+gateNumInputs(GateType g)
+{
+    switch (g) {
+      case GateType::kBuf:
+      case GateType::kNot:
+        return 1;
+      case GateType::kAnd2:
+      case GateType::kNand2:
+      case GateType::kOr2:
+      case GateType::kNor2:
+        return 2;
+      case GateType::kAnd3:
+      case GateType::kNand3:
+      case GateType::kOr3:
+      case GateType::kNor3:
+      case GateType::kMaj3:
+      case GateType::kMin3:
+        return 3;
+      default:
+        mouse_panic("bad gate type %d", static_cast<int>(g));
+    }
+}
 
 /** Logic value the output MTJ must be preset to before the pulse. */
-Bit gatePreset(GateType g);
+inline Bit
+gatePreset(GateType g)
+{
+    switch (g) {
+      // Inverting gates preset to 0 and switch toward 1.
+      case GateType::kNot:
+      case GateType::kNand2:
+      case GateType::kNor2:
+      case GateType::kNand3:
+      case GateType::kNor3:
+      case GateType::kMin3:
+        return 0;
+      // Non-inverting gates preset to 1 and switch toward 0.
+      case GateType::kBuf:
+      case GateType::kAnd2:
+      case GateType::kOr2:
+      case GateType::kAnd3:
+      case GateType::kOr3:
+      case GateType::kMaj3:
+        return 1;
+      default:
+        mouse_panic("bad gate type %d", static_cast<int>(g));
+    }
+}
 
 /**
  * Ideal truth function of the gate.

@@ -93,4 +93,17 @@ GateLibrary::feasibleGates() const
     return out;
 }
 
+GateMask
+GateLibrary::feasibleAmong(GateMask gates) const
+{
+    GateMask answers = 0;
+    for (int i = 0; i < kNumGateTypes; ++i) {
+        const auto g = static_cast<GateType>(i);
+        if ((gates & gateBit(g)) && feasible(g)) {
+            answers |= gateBit(g);
+        }
+    }
+    return answers;
+}
+
 } // namespace mouse

@@ -135,6 +135,10 @@ class GateLibrary
     /** All gate types feasible under this technology. */
     std::vector<GateType> feasibleGates() const;
 
+    /** The subset of @p gates feasible under this technology: its
+     *  answers to a compile's feasibility queries. */
+    GateMask feasibleAmong(GateMask gates) const;
+
   private:
     DeviceConfig cfg_;
     std::array<SolvedGate, kNumGateTypes> gates_;

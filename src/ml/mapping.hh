@@ -18,6 +18,15 @@
  * layout's phase counts — so the performance model and the bit-exact
  * functional compiler can never drift apart.
  *
+ * A trace is built in two steps.  Its layout names the kernels its
+ * phases repeat (svmKernels/bnnKernels), each a small comparable
+ * Kernel descriptor; measureKernel() measures one on a gate library;
+ * the assembly step (assembleSvmTrace/assembleBnnTrace) replicates
+ * the measured mixes.  Generated code is data-oblivious (Section
+ * IV-B), so a kernel's mix depends only on its descriptor and the
+ * library's feasibility answers, and a sweep can measure each
+ * distinct kernel once for all of its benchmarks.
+ *
  * Fixed-point truncation: accumulators use the bit widths below
  * rather than full-precision growth (dot products truncate to
  * accBits, squares to squareBits, coefficient products to
@@ -27,6 +36,8 @@
 #ifndef MOUSE_ML_MAPPING_HH
 #define MOUSE_ML_MAPPING_HH
 
+#include <compare>
+#include <map>
 #include <string>
 
 #include "compile/builder.hh"
@@ -113,7 +124,140 @@ struct MappingInfo
 };
 
 /**
- * Build the compressed execution trace of one SVM inference.
+ * One kernel a trace repeats: a kind plus the widths that fix its
+ * code.  Equal descriptors compile to the same instruction mix on
+ * any library answering the same feasibility queries alike.
+ */
+struct Kernel
+{
+    enum class Kind : std::uint8_t
+    {
+        /** a x a unsigned multiply accumulated into b bits. */
+        kSvmMac,
+        /** a AND products reduced by a popcount tree. */
+        kAndPopcount,
+        /** a XNOR products reduced by a popcount tree. */
+        kXnorPopcount,
+        /** a-bit add, truncated to a bits. */
+        kAdd,
+        /** a-bit two's-complement subtract. */
+        kSub,
+        /** a x a unsigned multiply. */
+        kSquare,
+        /** a x b two's-complement multiply. */
+        kMulSigned,
+    };
+
+    Kind kind = Kind::kAdd;
+    unsigned a = 0;
+    unsigned b = 0;
+
+    static Kernel
+    svmMac(unsigned input_bits, unsigned acc_bits)
+    {
+        return {Kind::kSvmMac, input_bits, acc_bits};
+    }
+    static Kernel
+    andPopcount(unsigned k)
+    {
+        return {Kind::kAndPopcount, k, 0};
+    }
+    static Kernel
+    xnorPopcount(unsigned k)
+    {
+        return {Kind::kXnorPopcount, k, 0};
+    }
+    static Kernel
+    add(unsigned width)
+    {
+        return {Kind::kAdd, width, 0};
+    }
+    static Kernel
+    sub(unsigned width)
+    {
+        return {Kind::kSub, width, 0};
+    }
+    static Kernel
+    square(unsigned width)
+    {
+        return {Kind::kSquare, width, 0};
+    }
+    static Kernel
+    mulSigned(unsigned a_bits, unsigned b_bits)
+    {
+        return {Kind::kMulSigned, a_bits, b_bits};
+    }
+
+    auto operator<=>(const Kernel &) const = default;
+
+    /**
+     * Fixed size proxy: the adder cells (bit products, full and half
+     * adders) the kernel's code is made of.  A sweep starts its
+     * largest measurements first.
+     */
+    std::uint64_t cells() const;
+};
+
+/** The measured instruction mix of one kernel. */
+struct KernelMix
+{
+    KernelBuilder::OpcodeCounts counts{};
+    /** The builder's feasibility queries and answers. */
+    GateMask gateQueries = 0;
+    GateMask gateAnswers = 0;
+
+    /** True when @p lib answers every recorded feasibility query as
+     *  this measurement's library did, i.e. measuring on @p lib
+     *  would give this same mix. */
+    bool
+    measuredFor(const GateLibrary &lib) const
+    {
+        return lib.feasibleAmong(gateQueries) == gateAnswers;
+    }
+};
+
+/**
+ * Measure @p kernel on @p lib by compiling it on a counting builder
+ * (which keeps no Program).  The counts are exact because generated
+ * code is data-independent.
+ */
+KernelMix measureKernel(const GateLibrary &lib, const Kernel &kernel);
+
+/** Measured mixes by kernel: what a trace assembly reads. */
+using KernelMixes = std::map<Kernel, KernelMix>;
+
+/** measureKernel() of every kernel in @p kernels on @p lib. */
+KernelMixes measureKernels(const GateLibrary &lib,
+                           const std::vector<Kernel> &kernels);
+
+/** The distinct kernels an SVM trace of @p work on @p shape repeats,
+ *  in ascending order. */
+std::vector<Kernel> svmKernels(const SvmWorkload &work,
+                               const MouseShape &shape);
+
+/** The distinct kernels a BNN trace of @p net on @p shape repeats,
+ *  in ascending order. */
+std::vector<Kernel> bnnKernels(const BnnShape &net,
+                               const MouseShape &shape);
+
+/**
+ * Assemble the SVM trace from measured mixes.  @p mixes must hold
+ * every kernel svmKernels(work, shape) lists, all measured on one
+ * library (or on libraries answering their queries alike).
+ */
+Trace assembleSvmTrace(const SvmWorkload &work, const MouseShape &shape,
+                       const KernelMixes &mixes,
+                       MappingInfo *info = nullptr);
+
+/** Assemble the BNN trace from measured mixes of
+ *  bnnKernels(net, shape). */
+Trace assembleBnnTrace(const BnnShape &net, const MouseShape &shape,
+                       const KernelMixes &mixes,
+                       MappingInfo *info = nullptr);
+
+/**
+ * Build the compressed execution trace of one SVM inference:
+ * measure svmKernels() on @p lib, then assembleSvmTrace().
  *
  * @param lib Gate library of the target technology.
  * @param work Workload shape.
@@ -126,7 +270,8 @@ Trace buildSvmTrace(const GateLibrary &lib, const SvmWorkload &work,
 
 /**
  * Build the compressed execution trace of one BNN inference for a
- * FINN / FP-BNN style MLP.
+ * FINN / FP-BNN style MLP: measure bnnKernels() on @p lib, then
+ * assembleBnnTrace().
  */
 Trace buildBnnTrace(const GateLibrary &lib, const BnnShape &net,
                     const MouseShape &shape,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -79,6 +80,37 @@ TEST(SweepGrid, DecodeRoundTripsEveryIndex)
     }
     // One continuous power entry x the other axes.
     EXPECT_EQ(seen_continuous, grid.size() / grid.powers.size());
+}
+
+TEST(SweepGrid, AxisSlotsLocateTechAndMargin)
+{
+    // Every axis set, and a margin value repeated: the slots are the
+    // axis positions, which the values alone cannot tell apart.
+    exp::SweepGrid grid;
+    grid.techs = {TechConfig::ProjectedStt, TechConfig::ModernStt,
+                  TechConfig::ProjectedShe};
+    grid.benchmarks = {exp::paperBenchmarks()[3],
+                       exp::paperBenchmarks()[4]};
+    grid.sources = {SourceSpec::constant(60e-6),
+                    SourceSpec::constant(1e-3)};
+    grid.platforms = {"mementos", "nvp"};
+    grid.schemes = {"mouse", "mcu:bec"};
+    grid.checkpointPeriods = {1u, 8u};
+    grid.margins = {0.05, 0.03, 0.05};
+    grid.seedsPerPoint = 2;
+    const std::size_t per_tech = grid.size() / grid.techs.size();
+    std::set<std::pair<std::size_t, std::size_t>> seen;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const exp::SweepPoint p = grid.at(i);
+        ASSERT_EQ(p.techSlot, i / per_tech) << i;
+        ASSERT_EQ(p.marginSlot,
+                  (i / grid.seedsPerPoint) % grid.margins.size())
+            << i;
+        EXPECT_EQ(grid.techs[p.techSlot], p.tech);
+        EXPECT_EQ(grid.margins[p.marginSlot], p.margin);
+        seen.emplace(p.techSlot, p.marginSlot);
+    }
+    EXPECT_EQ(seen.size(), grid.techs.size() * grid.margins.size());
 }
 
 TEST(SweepGrid, DerivedSeedsAreStableAndDistinct)
@@ -496,6 +528,157 @@ TEST(SharedTraces, SweepMatchesPerContextCompile)
         ASSERT_TRUE(res.points[i].ok()) << i;
         EXPECT_EQ(toJson(res.points[i].stats), toJson(ref)) << i;
     }
+}
+
+// -- Shared kernels --------------------------------------------------
+
+/** Distinct kernels of all of @p benches. */
+std::set<Kernel>
+kernelUnion(const std::vector<exp::Benchmark> &benches)
+{
+    std::set<Kernel> all;
+    for (const exp::Benchmark &bench : benches) {
+        for (const Kernel &kernel : exp::kernelsFor(bench)) {
+            all.insert(kernel);
+        }
+    }
+    return all;
+}
+
+TEST(SharedKernels, PaperSetKernelList)
+{
+    const auto &benches = exp::paperBenchmarks();
+    const std::vector<Kernel> mnist = exp::kernelsFor(benches[0]);
+    // SVM MNIST and SVM HAR have the same widths, so the same five
+    // kernels.
+    const std::vector<Kernel> svm8 = {
+        Kernel::svmMac(8, 24), Kernel::add(24), Kernel::add(40),
+        Kernel::square(24), Kernel::mulSigned(32, 8)};
+    EXPECT_EQ(std::set<Kernel>(mnist.begin(), mnist.end()),
+              std::set<Kernel>(svm8.begin(), svm8.end()));
+    EXPECT_EQ(mnist.size(), 5u);
+    EXPECT_EQ(exp::kernelsFor(benches[2]), mnist);
+    // ADULT fits a support vector in one column: no reduction add.
+    const std::vector<Kernel> adult = exp::kernelsFor(benches[3]);
+    EXPECT_EQ(std::set<Kernel>(adult.begin(), adult.end()),
+              (std::set<Kernel>{Kernel::svmMac(8, 20), Kernel::add(36),
+                                Kernel::square(20),
+                                Kernel::mulSigned(28, 8)}));
+    // FINN and FP-BNN share their XNOR-popcount MAC.
+    const std::vector<Kernel> finn = exp::kernelsFor(benches[4]);
+    const std::vector<Kernel> fpbnn = exp::kernelsFor(benches[5]);
+    const Kernel bnn_mac = Kernel::xnorPopcount(320);
+    EXPECT_NE(std::find(finn.begin(), finn.end(), bnn_mac), finn.end());
+    EXPECT_NE(std::find(fpbnn.begin(), fpbnn.end(), bnn_mac),
+              fpbnn.end());
+
+    const std::set<Kernel> all = kernelUnion(benches);
+    EXPECT_EQ(all,
+              (std::set<Kernel>{
+                  Kernel::svmMac(8, 20), Kernel::svmMac(8, 24),
+                  Kernel::andPopcount(317), Kernel::xnorPopcount(320),
+                  Kernel::add(10), Kernel::add(11), Kernel::add(12),
+                  Kernel::add(13), Kernel::add(24), Kernel::add(30),
+                  Kernel::add(36), Kernel::add(40), Kernel::sub(10),
+                  Kernel::sub(11), Kernel::sub(12), Kernel::sub(13),
+                  Kernel::square(11), Kernel::square(20),
+                  Kernel::square(24), Kernel::mulSigned(22, 8),
+                  Kernel::mulSigned(28, 8),
+                  Kernel::mulSigned(32, 8)}));
+    std::size_t listed = 0;
+    for (const exp::Benchmark &bench : benches) {
+        listed += exp::kernelsFor(bench).size();
+    }
+    EXPECT_LT(all.size(), listed);
+}
+
+TEST(SharedKernels, TraceAssembledFromKernelMixesEqualsTraceFor)
+{
+    const GateLibrary lib(makeDeviceConfig(TechConfig::ProjectedShe));
+    for (const exp::Benchmark &bench : exp::paperBenchmarks()) {
+        SCOPED_TRACE(bench.name);
+        KernelMixes mixes;
+        for (const Kernel &kernel : exp::kernelsFor(bench)) {
+            mixes.emplace(kernel, measureKernel(lib, kernel));
+        }
+        MappingInfo assembled_info;
+        MappingInfo own_info;
+        expectSameTrace(exp::assembleTrace(bench, mixes, &assembled_info),
+                        exp::traceFor(lib, bench, &own_info));
+        EXPECT_EQ(assembled_info.peakActiveColumns,
+                  own_info.peakActiveColumns);
+        EXPECT_EQ(assembled_info.instrMB, own_info.instrMB);
+    }
+}
+
+TEST(SharedKernels, MixReusedOnlyWhereAnswersMatch)
+{
+    // Item 0 reaches orFlip, which asks about OR2: Modern STT loses
+    // OR2 at margin 0.05 and keeps it at 0.03, so the libraries split
+    // into two answer sets.  Item 1 (an add) asks only about gates
+    // every library answers alike.
+    const auto owned = paperLibraries();
+    std::vector<const GateLibrary *> libs;
+    for (const auto &lib : owned) {
+        libs.push_back(lib.get());
+    }
+    ASSERT_FALSE(libs[0]->feasible(GateType::kOr2));
+    ASSERT_TRUE(libs[1]->feasible(GateType::kOr2));
+    const auto measure = [](const GateLibrary &lib, std::size_t item) {
+        if (item == 1) {
+            return measureKernel(lib, Kernel::add(8));
+        }
+        ArrayConfig cfg;
+        KernelBuilder kb(lib, cfg, 0, 8, KernelBuilder::Mode::kCount);
+        (void)kb.orFlip(kb.pinned(0), kb.pinned(2));
+        KernelMix mix;
+        mix.counts = kb.opcodeCounts();
+        mix.gateQueries = kb.gateQueries();
+        mix.gateAnswers = kb.gateAnswers();
+        return mix;
+    };
+    std::vector<std::atomic<int>> calls(libs.size() * 2);
+    const auto mixes = exp::ExperimentRunner(4).measurePerAnswerSet(
+        libs, 2, [&](const GateLibrary &lib, std::size_t item) {
+            const std::size_t l = static_cast<std::size_t>(
+                std::find(libs.begin(), libs.end(), &lib) -
+                libs.begin());
+            calls[l * 2 + item].fetch_add(1);
+            return measure(lib, item);
+        });
+    ASSERT_EQ(mixes.size(), libs.size() * 2);
+
+    std::set<const KernelMix *> or_mixes;
+    std::set<const KernelMix *> add_mixes;
+    for (std::size_t l = 0; l < libs.size(); ++l) {
+        SCOPED_TRACE(l);
+        for (std::size_t item = 0; item < 2; ++item) {
+            const KernelMix &shared = *mixes[l * 2 + item];
+            const KernelMix own = measure(*libs[l], item);
+            EXPECT_EQ(shared.counts, own.counts);
+            EXPECT_EQ(shared.gateQueries, own.gateQueries);
+            EXPECT_EQ(shared.gateAnswers, own.gateAnswers);
+        }
+        or_mixes.insert(mixes[l * 2].get());
+        add_mixes.insert(mixes[l * 2 + 1].get());
+        // A library shares the first library's OR mix exactly when it
+        // answers OR2 alike.
+        EXPECT_EQ(mixes[l * 2] == mixes[0],
+                  libs[l]->feasible(GateType::kOr2) ==
+                      libs[0]->feasible(GateType::kOr2));
+        // Only the first library of each answer set measures.
+        bool first_of_set = true;
+        for (std::size_t m = 0; m < l; ++m) {
+            first_of_set &= libs[m]->feasible(GateType::kOr2) !=
+                            libs[l]->feasible(GateType::kOr2);
+        }
+        EXPECT_EQ(calls[l * 2].load(), first_of_set ? 1 : 0);
+        EXPECT_EQ(calls[l * 2 + 1].load(), l == 0 ? 1 : 0);
+    }
+    EXPECT_EQ(or_mixes.size(), 2u);
+    EXPECT_EQ(add_mixes.size(), 1u);
+    // The two answer sets compile different code.
+    EXPECT_NE(mixes[0]->counts, mixes[1 * 2]->counts);
 }
 
 TEST(Names, TechKeysRoundTrip)
