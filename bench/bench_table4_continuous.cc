@@ -5,11 +5,10 @@
  *
  * MOUSE latency/energy comes from simulating the compiled workload
  * traces; CPU/libSVM/SONIC rows are the paper-reported calibrated
- * baselines (their hardware is not reproducible here).  Accuracy is
- * measured on the synthetic datasets (see DESIGN.md) with models
- * trained in-repo, and is therefore NOT comparable to the paper's
- * accuracy on the real datasets — the column demonstrates the full
- * train/infer pipeline, not MNIST parity.
+ * baselines (their hardware is not reproducible here).  The MOUSE
+ * rows print no accuracy: the paper trains its models offline on
+ * MNIST, HAR and ADULT, which are not in this repository, and the
+ * simulated cost of an inference does not depend on the weights.
  */
 
 #include <cstdio>
@@ -30,38 +29,6 @@ printHeader()
                 "Latency(us)", "Energy(uJ)", "#SV", "I/D Mem(MB)",
                 "Area(mm2)", "Acc(%)");
     bench::printRule(96);
-}
-
-double
-svmSyntheticAccuracy(DataShape shape, bool binarized)
-{
-    Dataset train = makeSynthetic(shape, 300, 11, 24.0);
-    Dataset test = makeSynthetic(shape, 200, 12, 24.0);
-    if (binarized) {
-        train = binarize(train);
-        test = binarize(test);
-    }
-    const SvmModel model = trainSvm(train);
-    return 100.0 * svmAccuracy(model, test);
-}
-
-double
-bnnSyntheticAccuracy()
-{
-    // Reduced-width network keeps the bench quick; the mapping and
-    // performance numbers use the paper's full FINN/FP-BNN shapes.
-    Dataset train =
-        binarize(makeSynthetic(DataShape::MnistLike, 240, 21, 24.0));
-    Dataset test =
-        binarize(makeSynthetic(DataShape::MnistLike, 160, 22, 24.0));
-    BnnShape shape;
-    shape.inputBits = 784;
-    shape.hiddenWidths = {128, 128};
-    shape.numClasses = 10;
-    BnnTrainConfig cfg;
-    cfg.epochs = 8;
-    const BnnModel model = trainBnn(train, shape, cfg);
-    return 100.0 * bnnAccuracy(model, test);
 }
 
 } // namespace
@@ -88,36 +55,14 @@ main()
 
     std::printf("\nMOUSE (Modern STT) [simulated]\n");
     printHeader();
-    const double acc_mnist =
-        svmSyntheticAccuracy(DataShape::MnistLike, false);
-    const double acc_mnist_bin =
-        svmSyntheticAccuracy(DataShape::MnistLike, true);
-    const double acc_har =
-        svmSyntheticAccuracy(DataShape::HarLike, false);
-    const double acc_adult =
-        svmSyntheticAccuracy(DataShape::AdultLike, false);
-    const double acc_bnn = bnnSyntheticAccuracy();
-
     for (const auto &b : bench::paperBenchmarks()) {
         MappingInfo info;
         const Trace trace = bench::traceFor(lib, b, &info);
         const RunStats stats = runContinuousTrace(trace, energy);
-        double acc = 0.0;
-        if (b.name == "SVM MNIST") {
-            acc = acc_mnist;
-        } else if (b.name == "SVM MNIST (Bin)") {
-            acc = acc_mnist_bin;
-        } else if (b.name == "SVM HAR") {
-            acc = acc_har;
-        } else if (b.name == "SVM ADULT") {
-            acc = acc_adult;
-        } else {
-            acc = acc_bnn;
-        }
         char mem[32];
         std::snprintf(mem, sizeof(mem), "%.1f / %.1f", info.instrMB,
                       info.dataMB);
-        std::printf("%-22s %13.0f %13.2f %8u %14s %10.2f %9.2f\n",
+        std::printf("%-22s %13.0f %13.2f %8u %14s %10.2f %9s\n",
                     b.name.c_str(), stats.totalTime() * 1e6,
                     stats.totalEnergy() * 1e6,
                     b.kind == bench::WorkloadKind::Svm
@@ -125,7 +70,7 @@ main()
                         : 0,
                     mem,
                     mouseArea(TechConfig::ModernStt, b.capacityMB),
-                    acc);
+                    "-");
     }
 
     // -- Paper-reported libSVM and SONIC rows ------------------------------
@@ -151,8 +96,8 @@ main()
     std::printf(
         "\nPaper MOUSE rows (us / uJ): MNIST 23936/1384, "
         "MNIST(Bin) 6575/65.5, HAR 11805/468.6,\nADULT 1189/7.24, "
-        "FINN 1485/14.33, FP-BNN 2007/99.9.  Accuracy here is on "
-        "synthetic data\n(real MNIST/HAR/ADULT are unavailable "
-        "offline); see EXPERIMENTS.md.\n");
+        "FINN 1485/14.33, FP-BNN 2007/99.9.  The MOUSE rows print no "
+        "accuracy:\nthe paper's MNIST/HAR/ADULT datasets are not in "
+        "this repository; see EXPERIMENTS.md.\n");
     return 0;
 }

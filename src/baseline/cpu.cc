@@ -25,20 +25,4 @@ libSvmRows()
     };
 }
 
-CpuBenchmark
-estimateCpuSvm(const std::string &name, unsigned num_sv, unsigned dim)
-{
-    // Effective MAC throughput implied by the paper's MNIST row:
-    // 11813 SV x 784 MACs in 169.8 ms.
-    constexpr double kImpliedMacsPerSecond =
-        11813.0 * 784.0 / 169824e-6;
-    CpuBenchmark est;
-    est.name = name;
-    est.supportVectors = num_sv;
-    est.latency = static_cast<double>(num_sv) * dim /
-                  kImpliedMacsPerSecond;
-    est.energy = est.latency * kHaswellIdlePower;
-    return est;
-}
-
 } // namespace mouse

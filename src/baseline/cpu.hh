@@ -5,10 +5,8 @@
  * The paper runs its custom SVM and libSVM on Intel Haswell
  * E5-2680v3 nodes, conservatively charging only the processor's
  * idle power.  The reported numbers are reproduced here as the
- * calibrated reference (the paper's own measurement protocol is not
- * reproducible without that cluster); an operational model derived
- * from the workload's MAC count and the implied throughput is
- * provided for scaling studies and sanity checks.
+ * calibrated reference: the paper's own measurement protocol is not
+ * reproducible without that cluster.
  */
 
 #ifndef MOUSE_BASELINE_CPU_HH
@@ -37,18 +35,6 @@ std::vector<CpuBenchmark> cpuSvmRows();
 
 /** Paper Table IV "libSVM" rows. */
 std::vector<CpuBenchmark> libSvmRows();
-
-/** Idle power the paper charges the Haswell processor with. */
-constexpr Watts kHaswellIdlePower = 30.0;
-
-/**
- * Operational CPU model: predicts latency/energy for an SVM
- * inference of @p num_sv support vectors x @p dim features from the
- * effective MAC throughput implied by the paper's MNIST row, at the
- * paper's idle-power accounting.
- */
-CpuBenchmark estimateCpuSvm(const std::string &name, unsigned num_sv,
-                            unsigned dim);
 
 } // namespace mouse
 

@@ -1,7 +1,6 @@
 #include "bnn.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -87,225 +86,6 @@ fpBnnShape()
     // FP-BNN consumes 8-bit inputs; on MOUSE these arrive as 8 bit
     // planes per pixel feeding the first layer.
     return BnnShape{784 * 8, {2048, 2048, 2048}, 10};
-}
-
-std::vector<Bit>
-bitPlanes(const Features &f)
-{
-    std::vector<Bit> bits;
-    bits.reserve(f.size() * 8);
-    for (std::uint8_t v : f) {
-        for (int b = 0; b < 8; ++b) {
-            bits.push_back(static_cast<Bit>((v >> b) & 1));
-        }
-    }
-    return bits;
-}
-
-namespace
-{
-
-/** Real-valued shadow network used by straight-through training. */
-struct ShadowLayer
-{
-    unsigned inputs;
-    unsigned outputs;
-    std::vector<float> w;  // outputs x inputs, row-major
-
-    float &
-    at(unsigned o, unsigned i)
-    {
-        return w[static_cast<std::size_t>(o) * inputs + i];
-    }
-
-    float
-    at(unsigned o, unsigned i) const
-    {
-        return w[static_cast<std::size_t>(o) * inputs + i];
-    }
-};
-
-/** Binarized forward through one shadow layer; returns pre-act. */
-void
-forwardLayer(const ShadowLayer &layer, const std::vector<float> &in,
-             std::vector<float> &pre, std::vector<float> &out,
-             bool binarize_out)
-{
-    pre.assign(layer.outputs, 0.0f);
-    for (unsigned o = 0; o < layer.outputs; ++o) {
-        float acc = 0.0f;
-        const float *row =
-            layer.w.data() + static_cast<std::size_t>(o) * layer.inputs;
-        for (unsigned i = 0; i < layer.inputs; ++i) {
-            // Binarized weight: sign of the shadow weight.
-            acc += (row[i] >= 0.0f ? 1.0f : -1.0f) * in[i];
-        }
-        pre[o] = acc;
-    }
-    out.resize(layer.outputs);
-    for (unsigned o = 0; o < layer.outputs; ++o) {
-        out[o] = binarize_out ? (pre[o] >= 0.0f ? 1.0f : -1.0f)
-                              : pre[o];
-    }
-}
-
-} // namespace
-
-BnnModel
-trainBnn(const Dataset &train_bits, const BnnShape &shape,
-         const BnnTrainConfig &cfg)
-{
-    mouse_assert(train_bits.size() > 0, "empty training set");
-    mouse_assert(train_bits.numFeatures == shape.inputBits,
-                 "dataset does not match BNN input width");
-
-    Rng rng(cfg.seed);
-    std::vector<ShadowLayer> layers;
-    unsigned prev = shape.inputBits;
-    for (unsigned width : shape.hiddenWidths) {
-        ShadowLayer l{prev, width, {}};
-        l.w.resize(static_cast<std::size_t>(prev) * width);
-        for (float &w : l.w) {
-            w = static_cast<float>(rng.normal()) * 0.1f;
-        }
-        layers.push_back(std::move(l));
-        prev = width;
-    }
-    ShadowLayer out_layer{prev, shape.numClasses, {}};
-    out_layer.w.resize(static_cast<std::size_t>(prev) *
-                       shape.numClasses);
-    for (float &w : out_layer.w) {
-        w = static_cast<float>(rng.normal()) * 0.1f;
-    }
-
-    // Straight-through training: binarized forward, full-precision
-    // gradient flows through the sign() as identity (clipped).
-    std::vector<std::vector<float>> acts(layers.size() + 1);
-    std::vector<std::vector<float>> pres(layers.size());
-    std::vector<float> out_pre;
-    std::vector<float> out_act;
-    const float lr = static_cast<float>(cfg.learningRate);
-
-    for (unsigned epoch = 0; epoch < cfg.epochs; ++epoch) {
-        for (std::size_t s = 0; s < train_bits.size(); ++s) {
-            // Inputs in {-1, +1}.
-            acts[0].resize(shape.inputBits);
-            for (unsigned i = 0; i < shape.inputBits; ++i) {
-                acts[0][i] = train_bits.x[s][i] ? 1.0f : -1.0f;
-            }
-            for (std::size_t l = 0; l < layers.size(); ++l) {
-                forwardLayer(layers[l], acts[l], pres[l], acts[l + 1],
-                             true);
-            }
-            forwardLayer(out_layer, acts.back(), out_pre, out_act,
-                         false);
-
-            // Softmax-free hinge-style gradient: push the true class
-            // up and the arg-max wrong class down.
-            const int label = train_bits.y[s];
-            int rival = -1;
-            float rival_score = -1e30f;
-            for (unsigned c = 0; c < shape.numClasses; ++c) {
-                if (static_cast<int>(c) != label &&
-                    out_pre[c] > rival_score) {
-                    rival_score = out_pre[c];
-                    rival = static_cast<int>(c);
-                }
-            }
-            if (out_pre[static_cast<unsigned>(label)] >
-                rival_score + 1.0f) {
-                continue;  // margin satisfied
-            }
-
-            // Backward: delta over output layer rows label/rival.
-            std::vector<float> delta(acts.back().size(), 0.0f);
-            for (int sign_cls : {label, rival}) {
-                const float g = sign_cls == label ? -1.0f : 1.0f;
-                const auto o = static_cast<unsigned>(sign_cls);
-                float *row = out_layer.w.data() +
-                             static_cast<std::size_t>(o) *
-                                 out_layer.inputs;
-                for (unsigned i = 0; i < out_layer.inputs; ++i) {
-                    const float wbin = row[i] >= 0.0f ? 1.0f : -1.0f;
-                    delta[i] += g * wbin;
-                    row[i] -= lr * g * acts.back()[i];
-                    row[i] = std::clamp(row[i], -1.0f, 1.0f);
-                }
-            }
-            // Propagate through hidden layers (straight-through:
-            // gradient passes sign() where |pre| <= width hint).
-            for (std::size_t l = layers.size(); l-- > 0;) {
-                std::vector<float> next_delta(layers[l].inputs, 0.0f);
-                for (unsigned o = 0; o < layers[l].outputs; ++o) {
-                    // Clip: no gradient when saturated far from 0.
-                    if (std::fabs(pres[l][o]) >
-                        0.25f * static_cast<float>(layers[l].inputs)) {
-                        continue;
-                    }
-                    const float g = delta[o];
-                    if (g == 0.0f) {
-                        continue;
-                    }
-                    float *row = layers[l].w.data() +
-                                 static_cast<std::size_t>(o) *
-                                     layers[l].inputs;
-                    for (unsigned i = 0; i < layers[l].inputs; ++i) {
-                        const float wbin =
-                            row[i] >= 0.0f ? 1.0f : -1.0f;
-                        next_delta[i] += g * wbin;
-                        row[i] -= lr * g * acts[l][i];
-                        row[i] = std::clamp(row[i], -1.0f, 1.0f);
-                    }
-                }
-                delta = std::move(next_delta);
-            }
-        }
-    }
-
-    // Export the binarized model.  Thresholds translate the +-1
-    // pre-activation sign test into a popcount comparison:
-    //   sum(+-1) >= 0  <=>  popcount >= inputs / 2.
-    BnnModel model;
-    for (const ShadowLayer &l : layers) {
-        BnnLayer bl;
-        bl.inputs = l.inputs;
-        bl.outputs = l.outputs;
-        bl.weights.resize(l.outputs);
-        bl.thresholds.assign(
-            l.outputs,
-            static_cast<std::int32_t>((l.inputs + 1) / 2));
-        for (unsigned o = 0; o < l.outputs; ++o) {
-            bl.weights[o].resize(l.inputs);
-            for (unsigned i = 0; i < l.inputs; ++i) {
-                bl.weights[o][i] = l.at(o, i) >= 0.0f ? 1 : 0;
-            }
-        }
-        model.hidden.push_back(std::move(bl));
-    }
-    model.output.inputs = out_layer.inputs;
-    model.output.outputs = out_layer.outputs;
-    model.output.weights.resize(out_layer.outputs);
-    model.output.thresholds.assign(out_layer.outputs, 0);
-    for (unsigned o = 0; o < out_layer.outputs; ++o) {
-        model.output.weights[o].resize(out_layer.inputs);
-        for (unsigned i = 0; i < out_layer.inputs; ++i) {
-            model.output.weights[o][i] =
-                out_layer.at(o, i) >= 0.0f ? 1 : 0;
-        }
-    }
-    return model;
-}
-
-double
-bnnAccuracy(const BnnModel &model, const Dataset &test_bits)
-{
-    mouse_assert(test_bits.size() > 0, "empty test set");
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < test_bits.size(); ++i) {
-        correct += model.predict(test_bits.x[i]) == test_bits.y[i];
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test_bits.size());
 }
 
 } // namespace mouse

@@ -8,17 +8,19 @@
  * popcount adder chain per column (and is what buildBnnTrace prices).
  *
  * The paper reuses the FINN and FP-BNN network configurations with
- * training done offline; here training uses the standard
- * straight-through-estimator (real-valued shadow weights, binarized
- * forward pass) on the synthetic datasets.
+ * training done offline; this layer holds a trained model's weights
+ * and thresholds and runs its integer inference, and the shapes feed
+ * the mapping that prices the network on MOUSE.
  */
 
 #ifndef MOUSE_ML_BNN_HH
 #define MOUSE_ML_BNN_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "ml/dataset.hh"
+#include "common/types.hh"
 
 namespace mouse
 {
@@ -71,28 +73,6 @@ BnnShape finnShape();
 /** FP-BNN MNIST configuration: 8-bit input (bit-planes feed 8x the
  *  input bits), 3x2048 hidden. */
 BnnShape fpBnnShape();
-
-/** Training hyper-parameters for the straight-through estimator. */
-struct BnnTrainConfig
-{
-    unsigned epochs = 5;
-    double learningRate = 0.01;
-    std::uint64_t seed = 1;
-};
-
-/**
- * Train a BNN of @p shape on binarized features.  Feature vectors
- * must already be bits (use binarize() for 8-bit data, or bit-plane
- * expansion for FP-BNN-style inputs).
- */
-BnnModel trainBnn(const Dataset &train_bits, const BnnShape &shape,
-                  const BnnTrainConfig &cfg = BnnTrainConfig{});
-
-/** Classification accuracy on binarized features. */
-double bnnAccuracy(const BnnModel &model, const Dataset &test_bits);
-
-/** Expand 8-bit features into bit-planes (FP-BNN input handling). */
-std::vector<Bit> bitPlanes(const Features &f);
 
 } // namespace mouse
 

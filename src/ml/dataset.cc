@@ -162,23 +162,4 @@ saveCsv(const Dataset &data, const std::string &path)
     }
 }
 
-Dataset
-binarize(const Dataset &data, std::uint8_t threshold)
-{
-    Dataset out;
-    out.numFeatures = data.numFeatures;
-    out.numClasses = data.numClasses;
-    out.y = data.y;
-    out.x.reserve(data.x.size());
-    for (const Features &f : data.x) {
-        Features b(f.size());
-        std::transform(f.begin(), f.end(), b.begin(),
-                       [threshold](std::uint8_t v) {
-                           return v >= threshold ? 1 : 0;
-                       });
-        out.x.push_back(std::move(b));
-    }
-    return out;
-}
-
 } // namespace mouse

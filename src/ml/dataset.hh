@@ -69,9 +69,6 @@ Dataset makeSynthetic(DataShape shape, std::size_t samples,
                       std::uint64_t seed, double noise = 32.0,
                       std::uint64_t proto_seed = 0xC0FFEE);
 
-/** Binarize features at a threshold (paper's MNIST (Binarized)). */
-Dataset binarize(const Dataset &data, std::uint8_t threshold = 128);
-
 /**
  * Load a dataset from CSV: one sample per line, features first
  * (integers 0..255), label last.  Lines starting with '#' and blank

@@ -38,6 +38,7 @@
 #define MOUSE_SIM_BURST_LOOP_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <concepts>
@@ -501,9 +502,11 @@ addOutage(RunStats &stats, Seconds cutTime, const Outage &o,
     bookOutage(book, cutTime, o, charge);
 }
 
-/** Fewer passes than this run one by one in repeatAdd: finding and
- *  checking a binade's increment costs a few passes. */
-constexpr std::uint64_t kRepeatAddMinPasses = 64;
+/** Fewer passes than this run one by one in repeatAdd: finding a
+ *  binade's increment takes two passes.  Low, because a skip's
+ *  replay adds each field's amounts in one dependent chain, and even
+ *  a short chain costs more than the jumps that shorten it. */
+constexpr std::uint64_t kRepeatAddMinPasses = 4;
 
 /**
  * @p x after @p k passes of `for (a : addends) x += a`, bit for bit,
@@ -915,18 +918,17 @@ struct BurstCycles
  * bursts again.  Brent's cycle finding compares each burst start
  * with one anchor, moved at powers of two, which costs O(1) a burst.
  * Once the state returns, the loop runs one more cycle on a Tape,
- * which keeps each step of the loop's accounting (bookWork,
- * bookOutage).  If the state returns again, skip() applies the tape
- * k more times and moves the machine past the units those cycles
- * would commit.  From kRepeatAddMinPasses cycles on, the replay sorts
- * the tape by field: each RunStats sum and the clock get their k
- * passes from repeatAdd, bit-identical to adding the amounts one by
- * one in the loop's order at a cost of a few passes per binade the
- * field crosses, and counts add k times their per-cycle total.
- * Shorter replays book the steps one by one.  The current chunk must
- * hold more than k cycles' units, so every skipped burst still ends
- * in an outage.  A burst that commits nothing restarts the search:
- * it is never skipped, and the non-termination check sees every one.
+ * which keeps the loop's accounting (bookWork, bookOutage) field by
+ * field.  If the state returns again, skip() applies the tape k more
+ * times and moves the machine past the units those cycles would
+ * commit: each RunStats sum and the clock get their k passes from
+ * repeatAdd, bit-identical to adding the amounts one by one in the
+ * loop's order at a cost of a few passes per binade the field
+ * crosses, and counts add k times their per-cycle total.  The
+ * current chunk must hold more than k cycles' units, so every skipped
+ * burst still ends in an outage.  A burst that commits nothing
+ * restarts the search: it is never skipped, and the non-termination
+ * check sees every one.
  */
 template <SkippableMachine Machine>
 class BurstCycles<Machine, HarvestEnv>
@@ -934,163 +936,98 @@ class BurstCycles<Machine, HarvestEnv>
   public:
     static constexpr bool kSkips = true;
 
-    /** The loop's accounting over one cycle, step by step. */
+    /**
+     * The loop's accounting over one cycle, field by field: per
+     * RunStats sum and for the clock, its addends in the loop's
+     * order; per count, its total.  bookWork and bookOutage post
+     * into it as they post into a RunStats.
+     */
     class Tape
     {
       public:
-        void
-        commit(const Work &w)
-        {
-            steps_.push_back({w, 0.0, {}, 0.0, false});
-        }
+        void commit(const Work &w) { bookWork(*this, w); }
 
         void
         outage(Seconds cutTime, const Outage &o, Seconds charge)
         {
-            steps_.push_back({{}, cutTime, o, charge, true});
+            bookOutage(*this, cutTime, o, charge);
         }
+
+        template <auto Field, class T>
+        void
+        add(T amount)
+        {
+            if constexpr (std::is_same_v<decltype(Field),
+                                         double RunStats::*>) {
+                constexpr std::size_t i = indexOf(kSums, Field);
+                static_assert(i < kSums.size(), "list the sum in kSums");
+                sums_[i].push_back(amount);
+            } else {
+                constexpr std::size_t i = indexOf(kCounts, Field);
+                static_assert(i < kCounts.size(),
+                              "list the count in kCounts");
+                counts_[i] += amount;
+            }
+        }
+
+        void clock(Seconds dt) { clock_.push_back(dt); }
 
       private:
         friend BurstCycles;
 
-        /** One accounting step of the loop. */
-        struct Step
+        /** The RunStats sums and counts bookWork and bookOutage post
+         *  to; posting another one does not compile. */
+        static constexpr std::array<double RunStats::*, 8> kSums = {
+            &RunStats::activeTime,    &RunStats::deadTime,
+            &RunStats::restoreTime,   &RunStats::chargingTime,
+            &RunStats::computeEnergy, &RunStats::backupEnergy,
+            &RunStats::deadEnergy,    &RunStats::restoreEnergy};
+        static constexpr std::array<std::uint64_t RunStats::*, 3>
+            kCounts = {&RunStats::instructionsCommitted,
+                       &RunStats::instructionsDead, &RunStats::outages};
+
+        /** @p field's index in @p fields, or fields.size(). */
+        template <class Fields, class Field>
+        static constexpr std::size_t
+        indexOf(const Fields &fields, Field field)
         {
-            Work w;
-            Seconds cutTime;
-            Outage o;
-            Seconds charge;
-            bool outage;
+            return static_cast<std::size_t>(
+                std::find(fields.begin(), fields.end(), field) -
+                fields.begin());
+        }
 
-            template <class Book>
-            void
-            book(Book &b) const
-            {
-                if (outage) {
-                    bookOutage(b, cutTime, o, charge);
-                } else {
-                    bookWork(b, w);
-                }
-            }
-        };
-
-        /** Books into a RunStats and a clock, as the loop and
-         *  HarvestEnv add them. */
-        struct Pass : StatsBook
+        /** Forget the amounts, keeping the storage. */
+        void
+        clear()
         {
-            Seconds &now;
-
-            void clock(Seconds dt) { now += dt; }
-        };
-
-        /** One cycle's amounts, field by field: per RunStats sum and
-         *  for the clock, its addends in the loop's order; per count,
-         *  its total. */
-        class Fields
-        {
-          public:
-            template <auto Field, class T>
-            void
-            add(T amount)
-            {
-                if constexpr (std::is_same_v<decltype(Field),
-                                             double RunStats::*>) {
-                    slot(sums_, Field).addends.push_back(amount);
-                } else {
-                    slot(counts_, Field).total += amount;
-                }
+            for (std::vector<double> &addends : sums_) {
+                addends.clear();
             }
-
-            void clock(Seconds dt) { clock_.push_back(dt); }
-
-            /** Forget the amounts, keeping the storage. */
-            void
-            clear()
-            {
-                for (Sum &s : sums_) {
-                    s.addends.clear();
-                }
-                for (Count &c : counts_) {
-                    c.total = 0;
-                }
-                clock_.clear();
-            }
-
-            /** Add the cycle @p k times to @p stats and @p now. */
-            Seconds
-            repeat(RunStats &stats, Seconds now, std::uint64_t k) const
-            {
-                for (const Sum &s : sums_) {
-                    stats.*s.field =
-                        repeatAdd(stats.*s.field, s.addends, k);
-                }
-                for (const Count &c : counts_) {
-                    stats.*c.field += k * c.total;
-                }
-                return repeatAdd(now, clock_, k);
-            }
-
-          private:
-            struct Sum
-            {
-                double RunStats::*field;
-                std::vector<double> addends;
-            };
-
-            struct Count
-            {
-                std::uint64_t RunStats::*field;
-                std::uint64_t total;
-            };
-
-            /** @p field's entry in @p list, added on first use. */
-            template <class Entry, class Field>
-            static Entry &
-            slot(std::vector<Entry> &list, Field field)
-            {
-                for (Entry &e : list) {
-                    if (e.field == field) {
-                        return e;
-                    }
-                }
-                return list.emplace_back(Entry{field, {}});
-            }
-
-            std::vector<Sum> sums_;
-            std::vector<Count> counts_;
-            std::vector<double> clock_;
-        };
+            counts_.fill(0);
+            clock_.clear();
+        }
 
         /**
          * Apply the tape @p k times to @p stats, and return the clock
-         * @p now advanced as HarvestEnv advances it.  Short replays
-         * book step by step; longer ones sort the cycle into Fields
-         * and repeat each field at once.  Out of line: it runs once
-         * per skip, and the loop's code stays small.
+         * @p now advanced as HarvestEnv advances it.  Out of line: it
+         * runs once per skip, and the loop's code stays small.
          */
         [[gnu::noinline]] Seconds
-        replay(RunStats &stats, Seconds now, std::uint64_t k)
+        replay(RunStats &stats, Seconds now, std::uint64_t k) const
         {
-            if (k < kRepeatAddMinPasses) {
-                RunStats s = stats;
-                Pass pass{{s}, now};
-                for (; k > 0; --k) {
-                    for (const Step &step : steps_) {
-                        step.book(pass);
-                    }
-                }
-                stats = s;
-                return now;
+            for (std::size_t i = 0; i < kSums.size(); ++i) {
+                double &sum = stats.*kSums[i];
+                sum = repeatAdd(sum, sums_[i], k);
             }
-            fields_.clear();
-            for (const Step &step : steps_) {
-                step.book(fields_);
+            for (std::size_t i = 0; i < kCounts.size(); ++i) {
+                stats.*kCounts[i] += k * counts_[i];
             }
-            return fields_.repeat(stats, now, k);
+            return repeatAdd(now, clock_, k);
         }
 
-        std::vector<Step> steps_;
-        Fields fields_;
+        std::array<std::vector<double>, kSums.size()> sums_;
+        std::array<std::uint64_t, kCounts.size()> counts_{};
+        std::vector<double> clock_;
     };
 
     /** Observed runs see every burst, so they never skip. */
@@ -1136,7 +1073,7 @@ class BurstCycles<Machine, HarvestEnv>
     Tape &
     tape()
     {
-        tape_.steps_.clear();
+        tape_.clear();
         return tape_;
     }
 

@@ -123,16 +123,6 @@ TEST(Cpu, PaperRowsPresent)
     EXPECT_EQ(lib_rows[3].supportVectors, 15792u);
 }
 
-TEST(Cpu, EstimateAnchorsToMnistRow)
-{
-    const CpuBenchmark est = estimateCpuSvm("MNIST", 11813, 784);
-    EXPECT_NEAR(est.latency, 169824e-6, 1e-6);
-    EXPECT_NEAR(est.energy, est.latency * kHaswellIdlePower, 1e-9);
-    // Scaling: half the support vectors, half the time.
-    const CpuBenchmark half = estimateCpuSvm("half", 5906, 784);
-    EXPECT_NEAR(half.latency, est.latency / 2.0, est.latency * 0.01);
-}
-
 TEST(CrossSystem, MouseBeatsSonicOnEnergyAndLatency)
 {
     // The paper's headline: orders-of-magnitude energy advantage and

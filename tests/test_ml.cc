@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the ML layer: synthetic datasets, SVM training and
- * integer inference, BNN training/inference, and — the load-bearing
- * one — bit-exact equivalence between software SVM inference and the
- * compiled in-array program.
+ * integer inference, BNN inference on hand-built models, and — the
+ * load-bearing one — bit-exact equivalence between software SVM
+ * inference and the compiled in-array program.
  */
 
+#include <cstdlib>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -45,19 +46,6 @@ TEST(Dataset, SyntheticIsDeterministicAndCoversClasses)
     }
     for (bool s : seen) {
         EXPECT_TRUE(s);
-    }
-}
-
-TEST(Dataset, BinarizePreservesShapeAndThresholds)
-{
-    const Dataset data = makeSynthetic(DataShape::AdultLike, 50, 1);
-    const Dataset bin = binarize(data, 128);
-    EXPECT_EQ(bin.size(), data.size());
-    EXPECT_EQ(bin.numFeatures, data.numFeatures);
-    for (std::size_t i = 0; i < bin.size(); ++i) {
-        for (unsigned j = 0; j < bin.numFeatures; ++j) {
-            EXPECT_EQ(bin.x[i][j], data.x[i][j] >= 128 ? 1 : 0);
-        }
     }
 }
 
@@ -129,14 +117,6 @@ TEST(Svm, MultiClassOneVsRest)
     EXPECT_GT(svmAccuracy(model, train), 0.9);
 }
 
-TEST(Svm, BinarizedStillSeparable)
-{
-    const Dataset train = binarize(
-        makeSynthetic(DataShape::MnistLike, 150, 3, 16.0));
-    const SvmModel model = trainSvm(train);
-    EXPECT_GT(svmAccuracy(model, train), 0.9);
-}
-
 TEST(Bnn, ShapesMatchPaperConfigs)
 {
     const BnnShape finn = finnShape();
@@ -149,51 +129,74 @@ TEST(Bnn, ShapesMatchPaperConfigs)
               (std::vector<unsigned>{2048, 2048, 2048}));
 }
 
-TEST(Bnn, BitPlanesRoundTrip)
+/** A BNN of @p shape with seeded random weight bits and thresholds. */
+BnnModel
+randomBnn(const BnnShape &shape, std::uint64_t seed)
 {
-    const Features f = {0x00, 0xFF, 0xA5};
-    const auto bits = bitPlanes(f);
-    ASSERT_EQ(bits.size(), 24u);
-    for (int b = 0; b < 8; ++b) {
-        EXPECT_EQ(bits[static_cast<std::size_t>(b)], 0);
-        EXPECT_EQ(bits[static_cast<std::size_t>(8 + b)], 1);
-        EXPECT_EQ(bits[static_cast<std::size_t>(16 + b)],
-                  (0xA5 >> b) & 1);
+    Rng rng(seed);
+    const auto layer = [&rng](unsigned inputs, unsigned outputs) {
+        BnnLayer l;
+        l.inputs = inputs;
+        l.outputs = outputs;
+        l.weights.assign(outputs, std::vector<Bit>(inputs));
+        for (auto &row : l.weights) {
+            for (Bit &w : row) {
+                w = static_cast<Bit>(rng.below(2));
+            }
+        }
+        for (unsigned o = 0; o < outputs; ++o) {
+            l.thresholds.push_back(
+                static_cast<std::int32_t>(rng.below(inputs + 1)));
+        }
+        return l;
+    };
+    BnnModel model;
+    unsigned prev = shape.inputBits;
+    for (unsigned width : shape.hiddenWidths) {
+        model.hidden.push_back(layer(prev, width));
+        prev = width;
     }
+    model.output = layer(prev, shape.numClasses);
+    return model;
 }
 
-TEST(Bnn, TrainsAboveChanceOnSyntheticData)
+TEST(Bnn, WeightBitsCountsEveryLayer)
 {
-    // A reduced FINN-like network (same structure, narrower layers)
-    // keeps the test fast; the training pipeline is identical.
-    Dataset train = binarize(
-        makeSynthetic(DataShape::MnistLike, 240, 5, 16.0));
-    BnnShape shape;
-    shape.inputBits = 784;
-    shape.hiddenWidths = {64, 64};
-    shape.numClasses = 10;
-    BnnTrainConfig cfg;
-    cfg.epochs = 8;
-    const BnnModel model = trainBnn(train, shape, cfg);
-    const double acc = bnnAccuracy(model, train);
-    EXPECT_GT(acc, 0.5) << "training accuracy " << acc;
+    const BnnModel model = randomBnn(BnnShape{784, {64, 64}, 10}, 5);
     EXPECT_EQ(model.weightBits(),
               784u * 64 + 64u * 64 + 64u * 10);
 }
 
 TEST(Bnn, ForwardIsDeterministicInteger)
 {
-    Dataset train = binarize(
-        makeSynthetic(DataShape::AdultLike, 60, 11, 16.0));
-    BnnShape shape;
-    shape.inputBits = 15;
-    shape.hiddenWidths = {16};
-    shape.numClasses = 2;
-    const BnnModel model = trainBnn(train, shape);
-    const auto s1 = model.scores(train.x[0]);
-    const auto s2 = model.scores(train.x[0]);
+    const BnnModel model = randomBnn(BnnShape{15, {16}, 2}, 11);
+    Rng rng(12);
+    std::vector<Bit> in(15);
+    for (Bit &b : in) {
+        b = static_cast<Bit>(rng.below(2));
+    }
+    const auto s1 = model.scores(in);
+    const auto s2 = model.scores(in);
     EXPECT_EQ(s1, s2);
-    EXPECT_EQ(s1.size(), 2u);
+    ASSERT_EQ(s1.size(), 2u);
+    for (std::int32_t score : s1) {
+        // 2*popcount - 16 over 16 hidden bits: even, within +-16.
+        EXPECT_LE(std::abs(score), 16);
+        EXPECT_EQ(score % 2, 0);
+    }
+
+    // By hand, input 1011.  Hidden neuron 0 (weights 1010) matches 3
+    // bits and fires at threshold 3; neuron 1 (weights 0100) matches
+    // none and stays off at threshold 1.  On hidden bits 10, the
+    // classes' weights 10, 01 and 11 match 2, 0 and 1 of 2 bits, so
+    // they score 2*2-2, 2*0-2 and 2*1-2.
+    BnnModel tiny;
+    tiny.hidden.push_back({4, 2, {{1, 0, 1, 0}, {0, 1, 0, 0}}, {3, 1}});
+    tiny.output = {2, 3, {{1, 0}, {0, 1}, {1, 1}}, {0, 0, 0}};
+    const std::vector<Bit> x = {1, 0, 1, 1};
+    EXPECT_EQ(tiny.hiddenForward(x), (std::vector<Bit>{1, 0}));
+    EXPECT_EQ(tiny.scores(x), (std::vector<std::int32_t>{2, -2, 0}));
+    EXPECT_EQ(tiny.predict(x), 0);
 }
 
 // ---------------------------------------------------------------------
